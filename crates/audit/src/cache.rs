@@ -14,8 +14,8 @@
 //! on every run from the union of cached and fresh per-file facts.
 
 use crate::lockgraph::LockEdge;
-use crate::mini_json::{n, obj, s, Json};
 use crate::rules::{canonical_rule_id, violation_at, FileAudit, Severity};
+use gve_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -62,7 +62,7 @@ impl AuditCache {
         let Ok(text) = std::fs::read_to_string(path) else {
             return Self::empty(policy_fp);
         };
-        let Ok(doc) = Json::parse(&text) else {
+        let Ok(doc) = json::parse(&text) else {
             return Self::empty(policy_fp);
         };
         if doc.get("engine").and_then(Json::as_u64) != Some(ENGINE_VERSION)
@@ -111,14 +111,14 @@ impl AuditCache {
             .map(|(p, e)| (p.clone(), entry_json(e)))
             .collect();
         let doc = Json::Obj(vec![
-            ("engine".to_string(), n(ENGINE_VERSION)),
+            ("engine".to_string(), Json::from(ENGINE_VERSION)),
             (
                 "policy".to_string(),
                 Json::Str(format!("{:016x}", self.policy_fp)),
             ),
             ("files".to_string(), Json::Obj(files)),
         ]);
-        std::fs::write(path, doc.to_json())
+        std::fs::write(path, doc.render())
     }
 }
 
@@ -135,11 +135,11 @@ fn entry_json(e: &Entry) -> Json {
         .findings
         .iter()
         .map(|v| {
-            obj(vec![
-                ("rule", s(v.rule)),
-                ("line", n(v.line as u64)),
-                ("sev", s(sev_str(v.severity))),
-                ("msg", s(&v.message)),
+            Json::obj([
+                ("rule", Json::from(v.rule)),
+                ("line", Json::from(v.line)),
+                ("sev", Json::from(sev_str(v.severity))),
+                ("msg", Json::from(v.message.as_str())),
             ])
         })
         .collect();
@@ -148,21 +148,21 @@ fn entry_json(e: &Entry) -> Json {
         .edges
         .iter()
         .map(|ed| {
-            obj(vec![
-                ("from", s(&ed.from)),
-                ("to", s(&ed.to)),
-                ("line", n(ed.line as u64)),
+            Json::obj([
+                ("from", Json::from(ed.from.as_str())),
+                ("to", Json::from(ed.to.as_str())),
+                ("line", Json::from(ed.line)),
             ])
         })
         .collect();
     let marker_arr = |ms: &[(u32, String)]| {
         Json::Arr(
             ms.iter()
-                .map(|(line, rule)| Json::Arr(vec![n(*line as u64), s(rule)]))
+                .map(|(line, rule)| Json::Arr(vec![Json::from(*line), Json::from(rule.as_str())]))
                 .collect(),
         )
     };
-    obj(vec![
+    Json::obj([
         ("hash", Json::Str(format!("{:016x}", e.hash))),
         ("findings", Json::Arr(findings)),
         ("edges", Json::Arr(edges)),
@@ -171,7 +171,7 @@ fn entry_json(e: &Entry) -> Json {
         (
             "relaxed",
             match &e.audit.relaxed_entry_used {
-                Some(p) => s(p),
+                Some(p) => Json::from(p.as_str()),
                 None => Json::Null,
             },
         ),
@@ -181,7 +181,7 @@ fn entry_json(e: &Entry) -> Json {
 fn parse_entry(path: &str, entry: &Json) -> Option<Entry> {
     let hash = u64::from_str_radix(entry.get("hash")?.as_str()?, 16).ok()?;
     let mut findings = Vec::new();
-    for f in entry.get("findings")?.as_arr()? {
+    for f in entry.get("findings")?.as_array()? {
         // Unknown rule ids mean the entry predates a rule rename —
         // treat the whole file entry as invalid.
         let rule = canonical_rule_id(f.get("rule")?.as_str()?)?;
@@ -199,7 +199,7 @@ fn parse_entry(path: &str, entry: &Json) -> Option<Entry> {
         ));
     }
     let mut edges = Vec::new();
-    for ed in entry.get("edges")?.as_arr()? {
+    for ed in entry.get("edges")?.as_array()? {
         edges.push(LockEdge {
             from: ed.get("from")?.as_str()?.to_string(),
             to: ed.get("to")?.as_str()?.to_string(),
@@ -227,8 +227,8 @@ fn parse_entry(path: &str, entry: &Json) -> Option<Entry> {
 
 fn parse_markers(v: &Json) -> Option<Vec<(u32, String)>> {
     let mut out = Vec::new();
-    for m in v.as_arr()? {
-        let pair = m.as_arr()?;
+    for m in v.as_array()? {
+        let pair = m.as_array()?;
         out.push((
             pair.first()?.as_u64()? as u32,
             pair.get(1)?.as_str()?.to_string(),

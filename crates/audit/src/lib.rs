@@ -25,7 +25,6 @@
 pub mod cache;
 pub mod lexer;
 pub mod lockgraph;
-pub mod mini_json;
 pub mod policy;
 pub mod rules;
 pub mod sarif;

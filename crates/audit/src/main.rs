@@ -16,6 +16,7 @@
 
 use gve_audit::cache::fnv1a;
 use gve_audit::{audit_workspace_with, find_workspace_root, sarif, AuditOptions, Policy, Severity};
+use gve_obs::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -82,21 +83,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
     let root = match args.root {
@@ -158,13 +144,14 @@ fn run() -> Result<bool, String> {
                 Severity::Warning => "warning",
                 Severity::Error => "error",
             };
-            println!(
-                "  {{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"severity\":\"{sev}\",\"message\":\"{}\"}}{comma}",
-                v.rule,
-                json_escape(&v.path),
-                v.line,
-                json_escape(&v.message)
-            );
+            let finding = Json::obj([
+                ("rule", Json::from(v.rule)),
+                ("path", Json::from(v.path.as_str())),
+                ("line", Json::from(v.line)),
+                ("severity", Json::from(sev)),
+                ("message", Json::from(v.message.as_str())),
+            ]);
+            println!("  {finding}{comma}");
         }
         println!("]");
     } else {

@@ -2,8 +2,8 @@
 //! stale-suppression accounting (and `--strict-suppressions`), SARIF
 //! output, and the stdout/stderr contract of the CLI.
 
-use gve_audit::mini_json::Json;
 use gve_audit::{audit_workspace_with, AuditOptions, Policy, Severity};
+use gve_obs::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -212,13 +212,13 @@ fn sarif_output_has_the_2_1_0_shape_end_to_end() {
         .output()
         .expect("run");
     assert_eq!(out.status.code(), Some(1), "unsafe without SAFETY gates");
-    let doc = Json::parse(&std::fs::read_to_string(&sarif_path).expect("sarif written"))
+    let doc = json::parse(&std::fs::read_to_string(&sarif_path).expect("sarif written"))
         .expect("sarif parses");
     assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
-    let runs = doc.get("runs").and_then(Json::as_arr).expect("runs");
+    let runs = doc.get("runs").and_then(Json::as_array).expect("runs");
     let results = runs[0]
         .get("results")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .expect("results");
     // The default policy's skip/relaxed-ok entries match nothing in the
     // scratch tree, so stale-suppression warnings ride along — find the
@@ -234,7 +234,7 @@ fn sarif_output_has_the_2_1_0_shape_end_to_end() {
     assert_eq!(
         unsafe_hit
             .get("locations")
-            .and_then(Json::as_arr)
+            .and_then(Json::as_array)
             .and_then(|l| l.first())
             .and_then(|l| l.get("physicalLocation"))
             .and_then(|p| p.get("artifactLocation"))
@@ -262,8 +262,8 @@ fn json_stdout_is_pure_json_with_diagnostics_on_stderr() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     // The whole of stdout must parse as one JSON document — `| jq`
     // never sees progress chatter.
-    let doc = Json::parse(&stdout).unwrap_or_else(|e| panic!("stdout not JSON ({e}):\n{stdout}"));
-    let arr = doc.as_arr().expect("array");
+    let doc = json::parse(&stdout).unwrap_or_else(|e| panic!("stdout not JSON ({e}):\n{stdout}"));
+    let arr = doc.as_array().expect("array");
     assert!(arr
         .iter()
         .any(|v| v.get("rule").and_then(Json::as_str) == Some("unsafe-safety")));

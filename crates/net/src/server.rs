@@ -36,6 +36,7 @@
 use crate::http::{HttpError, HttpLimits, Request, RequestBuffer, Response};
 use crate::poller::{Event, Interest, Poller};
 use crate::sys;
+use gve_obs::json::Json;
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -70,30 +71,12 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Minimal JSON string escaping for error bodies built inside the
-/// reactor (gve-net has no JSON dependency by design).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Error → `{"error": "..."}` response.
+/// Error → `{"error": "..."}` response. The message can carry client
+/// bytes (a bad request line lands in it verbatim), so it goes through
+/// the JSON codec.
 fn error_response(error: &HttpError) -> Response {
-    Response::json(
-        error.status,
-        format!("{{\"error\":\"{}\"}}", json_escape(&error.message)),
-    )
+    let body = Json::obj([("error", Json::from(error.message.as_str()))]);
+    Response::json(error.status, body.render())
 }
 
 /// Shared request handler type.
@@ -129,7 +112,7 @@ pub struct NetOptions {
     /// non-blocking and microsecond-scale; one slow inline handler
     /// stalls every connection. `None` sends everything to workers.
     pub inline: Option<InlinePredicate>,
-    /// Registry to export `gve_net_*`/`gve_http_*` metrics into.
+    /// Registry to export `gve_net_*` and `gve_http_timeouts_total` into.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -215,22 +198,6 @@ impl NetMetrics {
             "Reactor loop iterations (poll returns).",
             &[],
             &self.wakeups,
-        );
-        // Compatibility families: the thread-per-connection front end
-        // exported these names, and the observability contract
-        // (dashboards, metrics smoke tests) keys on them. Same handles
-        // as the gve_net_* counters above.
-        registry.register_counter(
-            "gve_http_connections_total",
-            "Connections accepted (alias of gve_net_accepted_total).",
-            &[],
-            &self.accepted,
-        );
-        registry.register_counter(
-            "gve_http_rejected_connections_total",
-            "Connections answered 503 at the cap (alias of gve_net_rejected_connections_total).",
-            &[],
-            &self.rejected,
         );
         registry.register_histogram(
             "gve_net_loop_seconds",
@@ -671,7 +638,6 @@ impl Reactor {
                     let _ = self.poller.modify(fd, token, Interest::READ);
                 }
             }
-            Err(e) if e.is_closed() => self.close_conn(token),
             Err(e) => self.start_write(token, error_response(&e), false, now),
         }
     }
@@ -961,7 +927,8 @@ fn worker_loop(shared: &Shared, handler: &Arc<dyn Fn(Request) -> Response + Send
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::ClientConn;
+    use crate::http::{client_request, ClientConn};
+    use gve_obs::json;
 
     fn options_fast() -> NetOptions {
         NetOptions {
@@ -1209,6 +1176,75 @@ mod tests {
         // Same connection keeps working: the worker pool survived.
         let (status, _) = conn.request("GET", "/fine", None).unwrap();
         assert_eq!(status, 200);
+        server.stop();
+    }
+
+    #[test]
+    fn percent_decoded_path_and_query_reach_the_handler() {
+        let server = EventLoopServer::start("127.0.0.1:0", options_fast(), |req| {
+            let echo = Json::obj([
+                ("method", Json::from(req.method.as_str())),
+                ("path", Json::from(req.path.as_str())),
+                ("x", Json::from(req.query_param("x").unwrap_or_default())),
+                ("len", Json::from(req.body.len())),
+            ]);
+            Response::json(200, echo.render())
+        })
+        .unwrap();
+        let addr = format!("127.0.0.1:{}", server.port());
+        let (status, body) =
+            client_request(&addr, "POST", "/echo%20path?x=1+2", Some("hello")).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let echo = json::parse(&body).unwrap();
+        assert_eq!(echo.get("method").and_then(Json::as_str), Some("POST"));
+        assert_eq!(echo.get("path").and_then(Json::as_str), Some("/echo path"));
+        assert_eq!(echo.get("x").and_then(Json::as_str), Some("1 2"));
+        assert_eq!(echo.get("len").and_then(Json::as_u64), Some(5));
+        server.stop();
+    }
+
+    #[test]
+    fn malformed_request_line_gets_400_and_server_keeps_answering() {
+        let server = echo_server(options_fast());
+        let addr = format!("127.0.0.1:{}", server.port());
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(b"NONSENSE\r\n\r\n").unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.1 400"), "{out:?}");
+        let (status, _) = client_request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200);
+        server.stop();
+    }
+
+    /// Error messages can carry client bytes verbatim: a request line
+    /// whose version token holds control and non-ASCII characters must
+    /// still come back as a body that parses as JSON, message intact.
+    #[test]
+    fn error_bodies_parse_as_json_end_to_end() {
+        let message = "ctrl \u{1f} bell \u{7} tab \t quote \" path λ→é";
+        let body = error_response(&HttpError::bad_request(message)).body;
+        let parsed = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
+        assert_eq!(parsed.get("error").and_then(Json::as_str), Some(message));
+
+        let server = echo_server(options_fast());
+        let mut stream = TcpStream::connect(format!("127.0.0.1:{}", server.port())).unwrap();
+        stream
+            .write_all("GET /x BAD\u{1f}λ/9\r\n\r\n".as_bytes())
+            .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.1 400"), "{out:?}");
+        let body = out.split("\r\n\r\n").nth(1).expect("response has a body");
+        let parsed = json::parse(body).expect("wire error body must be valid JSON");
+        let message = parsed.get("error").and_then(Json::as_str).unwrap();
+        assert!(message.contains("BAD\u{1f}λ/9"), "{message:?}");
         server.stop();
     }
 }

@@ -16,12 +16,16 @@
 //! * [`trace`] — a structured run [`Tracer`] writing JSONL span events
 //!   (phase/pass labels, microsecond timestamps and durations), gated
 //!   by the `GVE_TRACE` environment variable or an explicit path.
+//! * [`json`] — the workspace's one JSON value type, parser and writer,
+//!   shared by the tracer, the service wire format, the bench reports
+//!   and the audit's SARIF output.
 //!
 //! No third-party dependencies, no global state, no `unsafe`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -8,7 +8,6 @@
 
 use crate::cache::{CachedPartition, PartitionOrigin};
 use crate::delta::DeltaAnswer;
-use crate::http::{Request, Response};
 use crate::ingest::IngestOutcome;
 use crate::jobs::{DetectRequest, JobState};
 use crate::json::Json;
@@ -16,6 +15,7 @@ use crate::registry::{validate_name, GraphCell, GraphSource, RegistryError};
 use crate::ServerState;
 use gve_dynamic::{apply_batch, BatchUpdate, DynamicLeiden, DynamicStrategy};
 use gve_graph::{CsrGraph, GraphBuilder, VertexId};
+use gve_net::http::{Request, Response};
 use gve_obs::DEFAULT_LATENCY_BUCKETS;
 use std::sync::{Arc, MutexGuard};
 use std::time::Instant;

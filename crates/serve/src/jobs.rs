@@ -19,7 +19,7 @@ use gve_leiden::{
 };
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -412,6 +412,28 @@ struct Inflight {
 struct JobTable {
     records: HashMap<u64, JobRecord>,
     inflight: HashMap<PartitionKey, Inflight>,
+    /// Ids of finished (done, failed, cancelled) records, oldest first.
+    finished: VecDeque<u64>,
+}
+
+/// Finished job records kept for `GET /jobs/{id}`. Every detect submit
+/// creates a record, cache hits included, so without a cap the table
+/// grows with the request count; past it the oldest finished records
+/// are dropped (their ids answer 404). Queued and running records are
+/// never dropped.
+const MAX_FINISHED_RECORDS: usize = 4096;
+
+impl JobTable {
+    /// Notes that job `id` reached a final state, evicting the oldest
+    /// finished records past [`MAX_FINISHED_RECORDS`].
+    fn finish(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_RECORDS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
 }
 
 /// One job-engine shard: its own queue, worker threads, and workspace
@@ -612,6 +634,7 @@ impl JobEngine {
                 queued_at: Instant::now(),
             };
             table.records.insert(id, record.clone());
+            table.finish(id);
             self.stats.completed.inc();
             return Ok(record);
         }
@@ -673,6 +696,7 @@ impl JobEngine {
                 record.state = JobState::Failed;
                 record.error = Some("job queue closed".to_string());
             }
+            table.finish(id);
             return Err("job queue closed".to_string());
         }
         Ok(record)
@@ -717,6 +741,7 @@ impl JobEngine {
         if let Some(record) = table.records.get_mut(&id) {
             record.state = JobState::Cancelled;
         }
+        table.finish(id);
         Some(JobState::Cancelled)
     }
 
@@ -888,6 +913,7 @@ fn worker_loop(
                     stats.failed.inc();
                 }
             }
+            guard.finish(job_id);
         }
     }
 }
@@ -1074,6 +1100,29 @@ mod tests {
         assert!(!third.cached);
         let third = engine.wait(third.id, Duration::from_secs(30)).unwrap();
         assert_eq!(third.state, JobState::Done);
+        engine.stop();
+    }
+
+    /// Regression test: every submit, cache hits included, used to add
+    /// a record that was never dropped, so the table grew with the
+    /// request count. Finished records are now capped, oldest first.
+    #[test]
+    fn finished_records_are_capped_oldest_first() {
+        let (engine, _cache) = engine_with_graph("sbm");
+        let first = engine.submit("sbm", DetectRequest::default()).unwrap();
+        engine.wait(first.id, Duration::from_secs(30)).unwrap();
+        let hits: Vec<u64> = (0..MAX_FINISHED_RECORDS + 10)
+            .map(|_| engine.submit("sbm", DetectRequest::default()).unwrap().id)
+            .collect();
+        assert_eq!(engine.len(), MAX_FINISHED_RECORDS);
+        assert!(engine.job(first.id).is_none());
+        // The first job plus ten hits went over the cap: 0..=9 are gone.
+        assert!(engine.job(hits[9]).is_none());
+        assert_eq!(
+            engine.job(hits[10]).map(|record| record.state),
+            Some(JobState::Done)
+        );
+        assert!(engine.job(*hits.last().unwrap()).is_some());
         engine.stop();
     }
 

@@ -4,8 +4,8 @@
 //! GVE-Leiden, print. This crate keeps the expensive state *resident*
 //! instead — graphs stay loaded, partitions stay cached, and edge
 //! updates are folded in incrementally through `gve-dynamic` — behind a
-//! deliberately dependency-free HTTP/1.1 + JSON surface built on
-//! `std::net`:
+//! deliberately dependency-free HTTP/1.1 + JSON surface served by the
+//! `gve-net` event loop:
 //!
 //! * [`registry`] — named graphs held as `Arc<CsrGraph>` snapshots with
 //!   a monotone **epoch** bumped on every update batch;
@@ -13,7 +13,8 @@
 //!   worker pool doing the computing;
 //! * [`cache`] — partitions memoized by `(graph, epoch, config
 //!   fingerprint)`; identical requests are instant cache hits;
-//! * [`handlers`] + [`http`] + [`json`] — the wire layer.
+//! * [`handlers`] + [`json`] — the wire layer (the codec itself lives
+//!   in `gve-obs`; HTTP framing and the reactor in `gve-net`).
 //!
 //! Every subsystem registers its counters, gauges, and histograms with
 //! one `gve_obs::MetricsRegistry`, served in Prometheus text format at
@@ -31,19 +32,20 @@
 pub mod cache;
 pub mod delta;
 pub mod handlers;
-pub mod http;
 pub mod ingest;
 pub mod jobs;
-pub mod json;
 pub mod pool;
 pub mod registry;
 pub mod wal;
 
-pub use http::client_request;
+pub use gve_net::http::client_request;
+pub use gve_obs::json;
 pub use pool::{PooledWorkspace, WorkspacePool};
 
 use cache::PartitionCache;
 use delta::DeltaRing;
+#[cfg(unix)]
+use gve_net::EventLoopServer;
 use gve_obs::{Counter, MetricsRegistry};
 use ingest::{IngestConfig, IngestQueue};
 use jobs::JobEngine;
@@ -64,11 +66,12 @@ pub struct ServeConfig {
     /// Job-engine shards: independent worker pools + workspace arenas,
     /// keyed by graph-name hash.
     pub shards: usize,
-    /// Serve through the `gve-net` epoll event loop instead of a thread
-    /// per connection. Ignored (threaded fallback) on non-unix targets.
+    /// Must be `true`: the `gve-net` event loop is the only front end,
+    /// and [`Server::start`] rejects `false` with `InvalidInput`. The
+    /// field stays so that configurations setting it keep compiling.
     pub event_loop: bool,
     /// Force the portable `poll(2)` reactor backend even where epoll
-    /// exists (testing aid; only meaningful with `event_loop`).
+    /// exists (testing aid).
     pub force_portable_poll: bool,
     /// Directory for the write-ahead log + snapshots. `None` (default)
     /// keeps the server memory-only; `Some` makes registered graphs,
@@ -85,6 +88,9 @@ pub struct ServeConfig {
     pub delta_capacity: usize,
 }
 
+/// Default cap on concurrently open connections.
+pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
+
 /// Largest request body the event-loop inline fast path will handle on
 /// the reactor thread; bigger bodies route to the worker pool so their
 /// JSON parse cannot stall unrelated connections.
@@ -95,9 +101,9 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7461".to_string(),
             workers: 2,
-            max_connections: http::DEFAULT_MAX_CONNECTIONS,
+            max_connections: DEFAULT_MAX_CONNECTIONS,
             shards: 4,
-            event_loop: gve_net::EVENT_LOOP_AVAILABLE,
+            event_loop: true,
             force_portable_poll: false,
             data_dir: None,
             snapshot_every: 64,
@@ -152,7 +158,7 @@ impl UpdateStats {
     }
 }
 
-/// Shared state behind every connection thread.
+/// Shared state behind every request handler.
 pub struct ServerState {
     /// Named graphs.
     pub registry: Arc<GraphRegistry>,
@@ -300,18 +306,27 @@ impl ServerState {
     }
 }
 
-/// Which connection front end a [`Server`] runs.
-enum FrontEnd {
-    /// Classic thread-per-connection acceptor (`http::HttpServer`).
-    Threaded(http::HttpServer),
-    /// `gve-net` readiness reactor (epoll/poll) with a handler pool.
-    #[cfg(unix)]
-    EventLoop(gve_net::EventLoopServer),
+/// Stand-in for the reactor on targets without it. Uninhabited: no
+/// [`Server`] can exist there, because [`Server::start`] fails.
+#[cfg(not(unix))]
+enum EventLoopServer {}
+
+#[cfg(not(unix))]
+impl EventLoopServer {
+    fn port(&self) -> u16 {
+        match *self {}
+    }
+    fn backend(&self) -> &'static str {
+        match *self {}
+    }
+    fn stop(&self) {
+        match *self {}
+    }
 }
 
-/// A running service: HTTP front end plus worker pool.
+/// A running service: the event-loop front end plus worker pool.
 pub struct Server {
-    front: FrontEnd,
+    front: EventLoopServer,
     state: Arc<ServerState>,
     /// `join` parks on this pair; `stop` flips the flag and notifies,
     /// so shutdown is immediate instead of waiting out a sleep.
@@ -319,8 +334,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts serving.
+    /// Binds and starts serving. Fails with `InvalidInput` when
+    /// `config.event_loop` is `false`, and with `Unsupported` on
+    /// non-unix targets, where the event loop does not exist.
+    #[cfg(unix)]
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
+        if !config.event_loop {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "event_loop must be true: the event loop is the only front end",
+            ));
+        }
         let state = ServerState::with_config(config)?;
         let handler_state = Arc::clone(&state);
         let handler = move |request| handlers::handle(&handler_state, &request);
@@ -335,7 +359,6 @@ impl Server {
         // publish, so a snapshot on the reactor thread never waits out
         // a refresh. Oversized bodies are parsed on workers too — JSON
         // parsing is linear in the body and the body cap is 64 MiB.
-        #[cfg(unix)]
         let inline: gve_net::InlinePredicate = Arc::new(|request: &gve_net::http::Request| {
             if request.body.len() > MAX_INLINE_BODY_BYTES {
                 return false;
@@ -350,40 +373,17 @@ impl Server {
                 _ => false,
             }
         });
-        #[cfg(unix)]
-        let front = if config.event_loop {
-            FrontEnd::EventLoop(gve_net::EventLoopServer::start(
-                config.addr.as_str(),
-                gve_net::NetOptions {
-                    max_connections: config.max_connections,
-                    force_portable_poll: config.force_portable_poll,
-                    inline: Some(inline),
-                    metrics: Some(state.metrics.clone()),
-                    ..gve_net::NetOptions::default()
-                },
-                handler,
-            )?)
-        } else {
-            FrontEnd::Threaded(http::HttpServer::start_with(
-                config.addr.as_str(),
-                http::ServerOptions {
-                    max_connections: config.max_connections,
-                    metrics: Some(state.metrics.clone()),
-                    ..http::ServerOptions::default()
-                },
-                handler,
-            )?)
-        };
-        #[cfg(not(unix))]
-        let front = FrontEnd::Threaded(http::HttpServer::start_with(
+        let front = EventLoopServer::start(
             config.addr.as_str(),
-            http::ServerOptions {
+            gve_net::NetOptions {
                 max_connections: config.max_connections,
+                force_portable_poll: config.force_portable_poll,
+                inline: Some(inline),
                 metrics: Some(state.metrics.clone()),
-                ..http::ServerOptions::default()
+                ..gve_net::NetOptions::default()
             },
             handler,
-        )?);
+        )?;
         Ok(Server {
             front,
             state,
@@ -391,22 +391,23 @@ impl Server {
         })
     }
 
-    /// The bound port.
-    pub fn port(&self) -> u16 {
-        match &self.front {
-            FrontEnd::Threaded(http) => http.port(),
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.port(),
-        }
+    /// Always `Unsupported`: the event loop is unix-only.
+    #[cfg(not(unix))]
+    pub fn start(_config: &ServeConfig) -> std::io::Result<Server> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "gve-serve needs the gve-net event loop, which is unix-only",
+        ))
     }
 
-    /// Which front end is serving: `"threaded"`, `"epoll"`, or `"poll"`.
+    /// The bound port.
+    pub fn port(&self) -> u16 {
+        self.front.port()
+    }
+
+    /// Which reactor backend is serving: `"epoll"` or `"poll"`.
     pub fn backend(&self) -> &'static str {
-        match &self.front {
-            FrontEnd::Threaded(_) => "threaded",
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.backend(),
-        }
+        self.front.backend()
     }
 
     /// The shared state (tests inspect counters directly).
@@ -434,11 +435,7 @@ impl Server {
             *stopped = true;
             signal.notify_all();
         }
-        match &self.front {
-            FrontEnd::Threaded(http) => http.stop(),
-            #[cfg(unix)]
-            FrontEnd::EventLoop(server) => server.stop(),
-        }
+        self.front.stop();
         // Drain deferred batches before the job engine goes away so
         // acked (202) work is applied — and WAL-logged — on shutdown.
         self.state.ingest.stop();

@@ -62,8 +62,8 @@ for name in \
   gve_jobs_queue_depth \
   gve_jobs_queue_wait_seconds_bucket \
   gve_jobs_run_seconds_bucket \
-  gve_http_connections_total \
-  gve_http_rejected_connections_total \
+  gve_net_accepted_total \
+  gve_net_rejected_connections_total \
   gve_http_request_seconds_bucket \
   gve_updates_batches_total; do
   grep -q "^$name" <<<"$METRICS" ||

@@ -35,7 +35,7 @@ fn usage() -> ! {
          gve stats <graph>\n  \
          gve convert <input> <output>     (formats by extension: .mtx, .gveg, else edge list)\n  \
          gve serve [--addr <host:port>] [--workers <n>] [--shards <n>] \
-         [--max-connections <n>] [--threaded] [--portable-poll] \
+         [--max-connections <n>] [--portable-poll] \
          [--data-dir <path>] [--snapshot-every <n>] [--no-fsync] [--load <name>=<path>]...\n  \
          gve client <method> <path> [--addr <host:port>] [--body <json>|--body-file <path>]\n  \
          gve top [--addr <host:port>]    (one-shot metrics summary of a running gve-serve)"
@@ -456,9 +456,6 @@ fn cmd_serve(args: &[String]) {
             exit(2);
         }
     }
-    if args.iter().any(|a| a == "--threaded") {
-        config.event_loop = false;
-    }
     if args.iter().any(|a| a == "--portable-poll") {
         config.force_portable_poll = true;
     }
@@ -529,7 +526,7 @@ fn cmd_serve(args: &[String]) {
     }
 
     eprintln!(
-        "gve-serve listening on port {} ({} front end, {} shards × {} \
+        "gve-serve listening on port {} ({} event loop, {} shards × {} \
          detection workers; try: curl http://127.0.0.1:{}/healthz)",
         server.port(),
         server.backend(),
@@ -677,8 +674,8 @@ fn cmd_top(args: &[String]) {
     );
     println!(
         "http         {} connections accepted, {} rejected; {} requests, avg latency {:.1}ms",
-        get("gve_http_connections_total"),
-        get("gve_http_rejected_connections_total"),
+        get("gve_net_accepted_total"),
+        get("gve_net_rejected_connections_total"),
         sum_family("gve_http_request_seconds_count"),
         ratio(
             sum_family("gve_http_request_seconds_sum"),

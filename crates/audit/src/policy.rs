@@ -547,9 +547,10 @@ lock-order cache_inner before graph_wal -- the cache insert listener logs the pa
 lock-order table before cache_inner -- submit consults the cache while holding the job table
 lock-order table before shard_queue -- submit enqueues shard work while holding the job table
 
-# Blocking model for guard-across-blocking: apply_batch is long graph
-# compute; the update gate alone is designed to be held across it.
-blocking-call apply_batch -- batch mutation replays the whole update set
+# Blocking model for guard-across-blocking: apply_batch copies the whole
+# CSR (O(M), patching only touched rows); the update gate alone is
+# designed to be held across it.
+blocking-call apply_batch -- one O(M) row-patching copy of the CSR per batch
 lock-allows-blocking update_gate -- serializes writers per graph; designed to be held across batch compute
 lock-allows-blocking graph_wal -- WAL appends fsync by design; only the per-graph WAL mutex is held
 

@@ -11,11 +11,16 @@
 //!
 //! Phase 2 measures durability: boot on a data dir, apply N batches,
 //! drop the server, and time a cold [`Server::start`] that recovers the
-//! graph from snapshot + WAL replay, for increasing WAL lengths.
+//! graph from snapshot + WAL replay, for increasing WAL lengths. Each
+//! row also reports the WAL records the cold start replayed (from
+//! `gve_wal_recovered_records_total`): recovery costs one snapshot load
+//! plus one `apply_batch` row-patch per batch logged since the last
+//! compaction, so a short WAL that ends mid-interval can replay more
+//! than a long one that ends on a compaction.
 //!
 //! ```text
 //! cargo run --release -p gve-bench --bin dynamic_service -- \
-//!     --vertices 2000 --windows 16 --json BENCH_dynamic.json
+//!     --vertices 50000 --windows 16 --json BENCH_dynamic.json
 //! ```
 //!
 //! Gates (used by the CI `dynamic-bench-smoke` job):
@@ -24,8 +29,9 @@
 //! * `--assert-recovery-ms <f>` — fail if the longest measured recovery
 //!   exceeds the floor.
 
-use gve_bench::report::Table;
+use gve_bench::report::{render_report, Table};
 use gve_dynamic::{collect_windows, BatchUpdate, ChurnStream};
+use gve_obs::json::Json;
 use gve_serve::jobs::DetectRequest;
 use gve_serve::registry::GraphSource;
 use gve_serve::{client_request, ServeConfig, Server};
@@ -232,6 +238,7 @@ fn run_strategy(strategy: &'static str, args: &Args, windows: &[BatchUpdate]) ->
 
 struct RecoveryReport {
     wal_records: usize,
+    replayed_records: u64,
     recovery_ms: f64,
 }
 
@@ -269,11 +276,20 @@ fn run_recovery(args: &Args, windows: &[BatchUpdate], batches: usize) -> Recover
         server.state().registry.snapshot("bench").is_ok(),
         "bench graph did not recover"
     );
+    let replayed_records = server
+        .state()
+        .durability
+        .as_ref()
+        .expect("durable server")
+        .stats
+        .recovered_records
+        .get();
     server.stop();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     RecoveryReport {
         wal_records: batches,
+        replayed_records,
         recovery_ms,
     }
 }
@@ -307,12 +323,15 @@ fn main() {
         .find(|r| r.strategy == "full-static")
         .map(|r| r.p50_ms)
         .unwrap_or(0.0);
-    for report in &reports {
-        let speedup = if report.p50_ms > 0.0 {
-            static_p50 / report.p50_ms
+    let speedup_of = |r: &StrategyReport| {
+        if r.p50_ms > 0.0 {
+            static_p50 / r.p50_ms
         } else {
             0.0
-        };
+        }
+    };
+    for report in &reports {
+        let speedup = speedup_of(report);
         table.push(vec![
             report.strategy.to_string(),
             format!("{:.0}", report.updates_per_sec),
@@ -325,7 +344,7 @@ fn main() {
 
     let mut recovery_table = Table::new(
         "Recovery time vs WAL length (snapshot + replay)",
-        &["WAL records", "Recovery ms"],
+        &["WAL records", "Replayed records", "Recovery ms"],
     );
     let recoveries: Vec<RecoveryReport> = args
         .wal_lengths
@@ -335,48 +354,52 @@ fn main() {
     for r in &recoveries {
         recovery_table.push(vec![
             r.wal_records.to_string(),
+            r.replayed_records.to_string(),
             format!("{:.1}", r.recovery_ms),
         ]);
     }
     recovery_table.print();
 
     // ------------------------------------------------------------ JSON
-    let mut json = String::from("{\n  \"bench\": \"dynamic_service\",\n");
-    let _ = writeln!(json, "  \"vertices\": {},", args.vertices);
-    let _ = writeln!(json, "  \"windows\": {},", args.windows);
-    json.push_str("  \"strategies\": [\n");
-    for (i, report) in reports.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"strategy\": \"{}\", \"updates_per_sec\": {:.1}, \"p50_ms\": {:.3}, \
-             \"p99_ms\": {:.3}, \"total_edits\": {}, \"speedup_vs_full_static\": {:.3}}}",
-            report.strategy,
-            report.updates_per_sec,
-            report.p50_ms,
-            report.p99_ms,
-            report.total_edits,
-            if report.p50_ms > 0.0 {
-                static_p50 / report.p50_ms
-            } else {
-                0.0
-            }
-        );
-        json.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n  \"recovery\": [\n");
-    for (i, r) in recoveries.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"wal_records\": {}, \"recovery_ms\": {:.2}}}",
-            r.wal_records, r.recovery_ms
-        );
-        json.push_str(if i + 1 < recoveries.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ]\n}\n");
+    let round3 = |x: f64| (x * 1e3).round() / 1e3;
+    let json = render_report(&[
+        ("bench", Json::from("dynamic_service")),
+        ("vertices", Json::from(args.vertices)),
+        ("windows", Json::from(args.windows)),
+        (
+            "strategies",
+            Json::Arr(
+                reports
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("strategy", Json::from(r.strategy)),
+                            ("updates_per_sec", Json::from(r.updates_per_sec.round())),
+                            ("p50_ms", Json::from(round3(r.p50_ms))),
+                            ("p99_ms", Json::from(round3(r.p99_ms))),
+                            ("total_edits", Json::from(r.total_edits)),
+                            ("speedup_vs_full_static", Json::from(round3(speedup_of(r)))),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "recovery",
+            Json::Arr(
+                recoveries
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("wal_records", Json::from(r.wal_records)),
+                            ("replayed_records", Json::from(r.replayed_records)),
+                            ("recovery_ms", Json::from(round3(r.recovery_ms))),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ]);
     std::fs::write(&args.json, &json).expect("write json");
     eprintln!("wrote {}", args.json);
 
@@ -385,8 +408,8 @@ fn main() {
     if let Some(floor) = args.assert_speedup {
         let best = reports
             .iter()
-            .filter(|r| r.strategy != "full-static" && r.p50_ms > 0.0)
-            .map(|r| static_p50 / r.p50_ms)
+            .filter(|r| r.strategy != "full-static")
+            .map(speedup_of)
             .fold(0.0f64, f64::max);
         if best < floor {
             eprintln!("GATE FAIL: best incremental speedup {best:.2}x < required {floor:.2}x");

@@ -23,9 +23,9 @@
 //! * `--assert-coalesce-rate <f>` — fail if the burst coalesce hit-rate
 //!   at the highest client count falls below the floor.
 
-use gve_bench::report::Table;
+use gve_bench::report::{render_report, Table};
 use gve_net::{run_load, LoadReport, LoadSpec, Target};
-use gve_obs::json::{self, Json};
+use gve_obs::json::Json;
 use gve_serve::jobs::{DetectRequest, JobState};
 use gve_serve::registry::GraphSource;
 use gve_serve::{client_request, ServeConfig, Server};
@@ -198,32 +198,6 @@ impl CoalesceSample {
             ("hit_rate", Json::from((self.hit_rate * 1e4).round() / 1e4)),
         ])
     }
-}
-
-/// Renders the report one top-level field per line and one array
-/// element per line, so diffs of the committed file stay readable.
-fn render_report(fields: &[(&str, Json)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        out.push_str("  ");
-        json::write_string(&mut out, key);
-        out.push_str(": ");
-        match value {
-            Json::Arr(items) => {
-                out.push_str("[\n");
-                for (j, item) in items.iter().enumerate() {
-                    out.push_str("    ");
-                    item.write_to(&mut out);
-                    out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str("  ]");
-            }
-            other => other.write_to(&mut out),
-        }
-        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    out
 }
 
 fn main() {

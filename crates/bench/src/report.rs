@@ -1,5 +1,6 @@
-//! Markdown/CSV table emission for experiment results.
+//! Markdown/CSV table and JSON report emission for experiment results.
 
+use gve_obs::json::Json;
 use std::io::Write;
 
 /// A simple result table: title, column headers, string rows.
@@ -126,6 +127,32 @@ pub fn fmt_speedup(factor: f64) -> String {
     format!("{factor:.2}x")
 }
 
+/// Renders the report one top-level field per line and one array
+/// element per line, so diffs of the committed file stay readable.
+pub fn render_report(fields: &[(&str, Json)]) -> String {
+    let mut out = String::from("{\n");
+    for (i, (key, value)) in fields.iter().enumerate() {
+        out.push_str("  ");
+        gve_obs::json::write_string(&mut out, key);
+        out.push_str(": ");
+        match value {
+            Json::Arr(items) => {
+                out.push_str("[\n");
+                for (j, item) in items.iter().enumerate() {
+                    out.push_str("    ");
+                    item.write_to(&mut out);
+                    out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                out.push_str("  ]");
+            }
+            other => other.write_to(&mut out),
+        }
+        out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("}\n");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +189,19 @@ mod tests {
         assert_eq!(fmt_secs(0.005), "5.00ms");
         assert_eq!(fmt_secs(2.5), "2.500s");
         assert_eq!(fmt_speedup(3.14511), "3.15x");
+    }
+
+    #[test]
+    fn json_report_is_one_field_and_one_element_per_line() {
+        let text = render_report(&[
+            ("bench", Json::from("demo")),
+            ("rows", Json::Arr(vec![Json::from(1u64), Json::from(2u64)])),
+        ]);
+        assert_eq!(
+            text,
+            "{\n  \"bench\": \"demo\",\n  \"rows\": [\n    1,\n    2\n  ]\n}\n"
+        );
+        assert!(gve_obs::json::parse(&text).is_ok());
     }
 
     #[test]

@@ -112,6 +112,12 @@ impl DynamicLeiden {
         &self.graph
     }
 
+    /// Consumes the detector and returns the current graph without
+    /// copying it.
+    pub fn into_graph(self) -> CsrGraph {
+        self.graph
+    }
+
     /// The current community membership (dense ids).
     pub fn membership(&self) -> &[VertexId] {
         &self.membership
@@ -298,6 +304,7 @@ mod tests {
             "refresh lost quality: {before} -> {after}"
         );
         assert_eq!(dynamic.graph(), &graph);
+        assert_eq!(dynamic.into_graph(), graph);
     }
 
     #[test]

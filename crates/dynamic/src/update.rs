@@ -1,13 +1,14 @@
 //! Batch edge updates applied to an immutable CSR graph.
 //!
 //! A [`BatchUpdate`] collects undirected insertions and deletions;
-//! [`apply_batch`] produces the updated graph in one parallel rebuild:
-//! per-vertex edit lists are grouped, then every vertex row is merged
-//! (old neighbours − deletions + insertions) independently.
+//! [`apply_batch`] produces the updated graph in one serial row-patching
+//! pass over preallocated CSR arrays: the batch is expanded into sorted
+//! directed edits, runs of untouched rows are copied with one slice copy
+//! each, and only the touched rows are merged (old neighbours −
+//! deletions + insertions).
 
-use gve_graph::{CsrGraph, EdgeWeight, GraphBuilder, VertexId};
-use rayon::prelude::*;
-use std::collections::{HashMap, HashSet};
+use gve_graph::{CsrGraph, EdgeWeight, VertexId};
+use std::collections::HashSet;
 
 /// A batch of undirected edge updates.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,114 +96,157 @@ impl BatchUpdate {
 /// an edge of an unknown vertex is a no-op, like deleting a missing
 /// edge); weights of repeated insertions (and of insertions over
 /// existing edges) add up.
+///
+/// Expects the input rows sorted by target, as every builder and reader
+/// in the workspace produces them; the output keeps them sorted.
 pub fn apply_batch(graph: &CsrGraph, batch: &BatchUpdate) -> CsrGraph {
     if batch.is_empty() {
         return graph.clone();
     }
-    let n = graph
-        .num_vertices()
-        .max(batch.max_inserted_vertex().map_or(0, |v| v as usize + 1));
+    let old_n = graph.num_vertices();
+    let n = old_n.max(batch.max_inserted_vertex().map_or(0, |v| v as usize + 1));
 
-    // Group directed edits per source vertex, then sort each vertex's
-    // edit list so the per-row rebuild below is a linear merge against
-    // the (already sorted) CSR row instead of a scan per edge. The
-    // insertion sort is *stable*: repeated insertions of one pair keep
-    // batch order, so their weights accumulate left-to-right exactly as
-    // they would applying the batch one edge at a time.
-    let mut inserts: HashMap<VertexId, Vec<(VertexId, EdgeWeight)>> = HashMap::new();
+    // Directed edits sorted by (source, target). The insertions' sort is
+    // *stable*: repeated insertions of one pair keep batch order, so
+    // their weights accumulate left-to-right exactly as they would
+    // applying the batch one edge at a time. Deletions naming a vertex
+    // the old graph lacks are no-ops and are dropped here.
+    let mut ins: Vec<(VertexId, VertexId, EdgeWeight)> =
+        Vec::with_capacity(2 * batch.insertions.len());
     for &(u, v, w) in &batch.insertions {
-        inserts.entry(u).or_default().push((v, w));
+        ins.push((u, v, w));
         if u != v {
-            inserts.entry(v).or_default().push((u, w));
+            ins.push((v, u, w));
         }
     }
-    for row in inserts.values_mut() {
-        row.sort_by_key(|&(v, _)| v);
-    }
-    let mut deletes: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+    ins.sort_by_key(|&(u, v, _)| (u, v));
+    let known = |x: VertexId| (x as usize) < old_n;
+    let mut dels: Vec<(VertexId, VertexId)> = Vec::with_capacity(2 * batch.deletions.len());
     for &(u, v) in &batch.deletions {
-        deletes.entry(u).or_default().push(v);
-        if u != v {
-            deletes.entry(v).or_default().push(u);
+        if known(u) && known(v) {
+            dels.push((u, v));
+            if u != v {
+                dels.push((v, u));
+            }
         }
     }
-    for row in deletes.values_mut() {
-        row.sort_unstable();
+    dels.sort_unstable();
+
+    let mut out = RowPatch {
+        old: graph,
+        offsets: Vec::with_capacity(n + 1),
+        targets: Vec::with_capacity(graph.num_arcs() + ins.len()),
+        weights: Vec::with_capacity(graph.num_arcs() + ins.len()),
+    };
+    out.offsets.push(0);
+    let (mut ii, mut di, mut next) = (0usize, 0usize, 0usize);
+    loop {
+        let u = match (ins.get(ii), dels.get(di)) {
+            (Some(i), Some(d)) => i.0.min(d.0),
+            (Some(i), None) => i.0,
+            (None, Some(d)) => d.0,
+            (None, None) => break,
+        };
+        let ie = ii + ins[ii..].iter().take_while(|e| e.0 == u).count();
+        let de = di + dels[di..].iter().take_while(|e| e.0 == u).count();
+        out.copy_rows(next, u as usize);
+        out.merge_row(u, &ins[ii..ie], &dels[di..de]);
+        (ii, di, next) = (ie, de, u as usize + 1);
+    }
+    out.copy_rows(next, n);
+    CsrGraph::from_raw_trusted(out.offsets, out.targets, out.weights)
+}
+
+/// The output arrays of [`apply_batch`], filled front to back.
+struct RowPatch<'g> {
+    old: &'g CsrGraph,
+    offsets: Vec<u64>,
+    targets: Vec<VertexId>,
+    weights: Vec<EdgeWeight>,
+}
+
+impl RowPatch<'_> {
+    /// Copies the untouched rows `lo..hi` verbatim: one slice copy for
+    /// the old rows, shifted offsets, and empty rows past the old `N`.
+    fn copy_rows(&mut self, lo: usize, hi: usize) {
+        let old_n = self.old.num_vertices();
+        if lo < old_n {
+            let old_offsets = self.old.offsets();
+            let end = hi.min(old_n);
+            let (a, b) = (old_offsets[lo] as usize, old_offsets[end] as usize);
+            let base = self.targets.len() as u64;
+            self.targets.extend_from_slice(&self.old.targets()[a..b]);
+            self.weights.extend_from_slice(&self.old.weights()[a..b]);
+            self.offsets.extend(
+                old_offsets[lo + 1..=end]
+                    .iter()
+                    .map(|&o| o - a as u64 + base),
+            );
+        }
+        let empty = hi.saturating_sub(lo.max(old_n));
+        let len = self.offsets.len();
+        self.offsets.resize(len + empty, self.targets.len() as u64);
     }
 
-    // Rebuild every row independently: one pass over old ∪ inserted
-    // targets, skipping deleted pairs — O(d + k log k) per row instead
-    // of the old O(d·k) contains/find scans.
-    let rows: Vec<Vec<(VertexId, EdgeWeight)>> = (0..n as VertexId)
-        .into_par_iter()
-        .map(|u| {
-            let dels: &[VertexId] = deletes.get(&u).map_or(&[], Vec::as_slice);
-            let ins: &[(VertexId, EdgeWeight)] = inserts.get(&u).map_or(&[], Vec::as_slice);
-            let old_degree = if (u as usize) < graph.num_vertices() {
-                graph.degree(u)
-            } else {
-                0
-            };
-            let mut row: Vec<(VertexId, EdgeWeight)> = Vec::with_capacity(old_degree + ins.len());
-            // Append an insertion, folding its weight into the previous
-            // entry when it targets the same vertex (sorted input makes
-            // duplicates adjacent).
-            let push_ins =
-                |row: &mut Vec<(VertexId, EdgeWeight)>, v: VertexId, w: EdgeWeight| match row
+    /// Appends row `u`: its old arcs minus `dels`, plus `ins` (both
+    /// sorted by target) in one linear merge.
+    fn merge_row(
+        &mut self,
+        u: VertexId,
+        ins: &[(VertexId, VertexId, EdgeWeight)],
+        dels: &[(VertexId, VertexId)],
+    ) {
+        let start = self.targets.len();
+        let (targets, weights) = (&mut self.targets, &mut self.weights);
+        // Append an insertion, folding its weight into the previous
+        // entry of this row when it targets the same vertex (sorted
+        // input makes duplicates adjacent).
+        let push_ins = |targets: &mut Vec<VertexId>, weights: &mut Vec<EdgeWeight>, v, w| {
+            if targets.len() > start && targets.last() == Some(&v) {
+                *weights
                     .last_mut()
-                {
-                    Some(slot) if slot.0 == v => slot.1 += w,
-                    _ => row.push((v, w)),
-                };
-            let (mut di, mut ii) = (0usize, 0usize);
-            if old_degree > 0 {
-                for (v, w) in graph.edges(u) {
-                    // Deleted pair? (dels may hold duplicates; advance past
-                    // everything smaller first.)
-                    while di < dels.len() && dels[di] < v {
-                        di += 1;
-                    }
-                    if di < dels.len() && dels[di] == v {
-                        continue;
-                    }
-                    // Insertions targeting ids before v land first…
-                    while ii < ins.len() && ins[ii].0 < v {
-                        let (t, w_ins) = ins[ii];
-                        push_ins(&mut row, t, w_ins);
-                        ii += 1;
-                    }
-                    row.push((v, w));
-                    // …and insertions over the existing arc add weight.
-                    while ii < ins.len() && ins[ii].0 == v {
-                        push_ins(&mut row, v, ins[ii].1);
-                        ii += 1;
-                    }
+                    .expect("targets and weights grow together") += w;
+            } else {
+                targets.push(v);
+                weights.push(w);
+            }
+        };
+        let (mut di, mut ii) = (0usize, 0usize);
+        if (u as usize) < self.old.num_vertices() {
+            for (v, w) in self.old.edges(u) {
+                // Deleted pair? (dels may hold duplicates; advance past
+                // everything smaller first.)
+                while di < dels.len() && dels[di].1 < v {
+                    di += 1;
+                }
+                if di < dels.len() && dels[di].1 == v {
+                    continue;
+                }
+                // Insertions targeting ids before v land first…
+                while ii < ins.len() && ins[ii].1 < v {
+                    push_ins(targets, weights, ins[ii].1, ins[ii].2);
+                    ii += 1;
+                }
+                // …then the old arc, and insertions over it add weight.
+                targets.push(v);
+                weights.push(w);
+                while ii < ins.len() && ins[ii].1 == v {
+                    push_ins(targets, weights, v, ins[ii].2);
+                    ii += 1;
                 }
             }
-            while ii < ins.len() {
-                let (t, w_ins) = ins[ii];
-                push_ins(&mut row, t, w_ins);
-                ii += 1;
-            }
-            row
-        })
-        .collect();
-
-    let mut builder = GraphBuilder::new()
-        .with_vertices(n)
-        .symmetrize(false)
-        .dedup(false);
-    for (u, row) in rows.iter().enumerate() {
-        for &(v, w) in row {
-            builder.add_edge(u as VertexId, v, w);
         }
+        for &(_, v, w) in &ins[ii..] {
+            push_ins(targets, weights, v, w);
+        }
+        self.offsets.push(self.targets.len() as u64);
     }
-    builder.build()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gve_graph::GraphBuilder;
 
     fn path_graph() -> CsrGraph {
         GraphBuilder::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])

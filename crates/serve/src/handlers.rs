@@ -641,7 +641,7 @@ pub(crate) fn apply_update(
                 .core_allocs
                 .add(gve_prim::alloc_count::snapshot().allocs_since(&alloc_before));
             refreshed = Some((result, partition.request.clone()));
-            dynamic.graph().clone()
+            dynamic.into_graph()
         }
         None => apply_batch(&old_graph, batch),
     };

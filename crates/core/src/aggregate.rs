@@ -55,12 +55,12 @@ pub fn aggregate(
 /// is squeezed into buffers recycled from a previously retired
 /// supergraph — zero steady-state allocation.
 ///
-/// `small_threshold` enables the kernel-v2 two-tier scan: communities
-/// whose total degree (the holey-CSR capacity) fits the bound are
-/// tallied in a stack-resident [`SmallScanMap`] instead of the
-/// per-thread table — total degree bounds the distinct neighbour
-/// communities, so the map cannot overflow. `None` keeps every
-/// community on the v1 table path.
+/// `small_threshold` (see [`crate::LeidenConfig::aggregation_small_threshold`])
+/// enables the two-tier scan: communities whose total degree (the
+/// holey-CSR capacity) fits the bound are tallied in a stack-resident
+/// [`SmallScanMap`] instead of the per-thread table — total degree
+/// bounds the distinct neighbour communities, so the map cannot
+/// overflow. `None` keeps every community on the v1 table path.
 #[allow(clippy::too_many_arguments)]
 pub fn aggregate_into(
     graph: &CsrGraph,
@@ -97,7 +97,7 @@ pub fn aggregate_into(
                         // target communities.
                         small.clear();
                         for &i in shared.members(c) {
-                            for (j, w) in graph.scan_edges(i) {
+                            for (j, w) in graph.edges(i) {
                                 // Relaxed: membership is frozen here —
                                 // the join ending refine/local-move
                                 // already published every store.
@@ -206,8 +206,8 @@ mod tests {
         let membership: Vec<u32> = (0..500u32).map(|v| v % 100).collect();
         let atomic = atomic_membership(&membership);
         let tables = PerThread::new(|| CommunityMap::new(500));
-        let v1 = aggregate(&graph, &atomic, &membership, 100, 16, &tables, None);
-        let v2 = aggregate(
+        let table_only = aggregate(&graph, &atomic, &membership, 100, 16, &tables, None);
+        let two_tier = aggregate(
             &graph,
             &atomic,
             &membership,
@@ -216,11 +216,11 @@ mod tests {
             &tables,
             Some(gve_prim::SMALL_SCAN_CAP),
         );
-        assert_eq!(v1.num_vertices(), v2.num_vertices());
-        assert_eq!(v1.num_arcs(), v2.num_arcs());
+        assert_eq!(table_only.num_vertices(), two_tier.num_vertices());
+        assert_eq!(table_only.num_arcs(), two_tier.num_arcs());
         for c in 0..100u32 {
-            let mut a: Vec<_> = v1.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
-            let mut b: Vec<_> = v2.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
+            let mut a: Vec<_> = table_only.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
+            let mut b: Vec<_> = two_tier.edges(c).map(|(d, w)| (d, w.to_bits())).collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "community {c}");

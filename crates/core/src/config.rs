@@ -8,11 +8,14 @@
 use crate::objective::Objective;
 pub use gve_graph::VertexOrdering;
 
-/// Default degree cutoff for the fused kernel's stack tier. Chosen from
-/// the `kernels` benchmark sweep: thresholds 8–16 beat both the v1 table
-/// and a full-capacity (64) stack tier on R-MAT and SBM inputs, because
-/// the linear map's compare count grows quadratically with the number of
-/// distinct candidate communities.
+/// Default degree cutoff for the stack-resident scan tiers. It bounds
+/// two maps: kernel v3's [`gve_prim::HashScanMap`] (local-moving and
+/// greedy refinement) and aggregation's linear
+/// [`gve_prim::SmallScanMap`], whose compare count grows quadratically
+/// with the number of distinct candidate communities. The value comes
+/// from a `kernels` benchmark sweep over the linear map: thresholds 8–16
+/// beat both the v1 table and a full-capacity (64) stack tier on R-MAT
+/// and SBM inputs. No sweep has been run for the hash tier.
 pub const DEFAULT_SMALL_DEGREE_THRESHOLD: usize = 16;
 
 /// Which neighbourhood-scan kernel the asynchronous phases use.
@@ -21,32 +24,25 @@ pub enum KernelVersion {
     /// Two-pass reference kernel: scan all neighbour communities into
     /// the per-thread collision-free table, then a second pass over the
     /// touched keys picks the best target. Kept as the differential
-    /// baseline for the fused kernel.
+    /// oracle that v3 must match bit for bit.
     V1,
-    /// Fused degree-aware kernel (the default): vertices with degree ≤
+    /// The production kernel (the default): vertices with degree ≤
     /// [`LeidenConfig::small_degree_threshold`] tally neighbour
-    /// communities in a stack-resident map *and* pick the best target in
-    /// the same pass, loading each candidate's `Σ'` exactly once; hubs
-    /// fall back to the v1 path.
+    /// communities in a stack-resident hash map that prefetches each
+    /// candidate's `Σ'` on first touch, then one lane-chunked choose
+    /// pass (`gve_prim::simd`) picks the target; hubs take the v1 path.
+    /// Bit-identical choices to v1 on frozen state.
     #[default]
-    V2,
-    /// Lane-chunked kernel: accumulate-only edge scan over direct CSR
-    /// row slices (interleaved when built, split otherwise) with
-    /// batched membership loads, then one lane-parallel choose pass
-    /// over the candidate set (`gve_prim::simd`). Same two-tier
-    /// stack/table dispatch as v2, bit-identical choices to v1 on
-    /// frozen state.
     V3,
 }
 
 impl KernelVersion {
-    /// Parses a CLI/config token: `v1`, `v2` or `v3`.
+    /// Parses a CLI/config token: `v1` or `v3`.
     pub fn parse(token: &str) -> Result<Self, String> {
         match token {
             "v1" => Ok(Self::V1),
-            "v2" => Ok(Self::V2),
             "v3" => Ok(Self::V3),
-            other => Err(format!("unknown kernel '{other}' (expected v1|v2|v3)")),
+            other => Err(format!("unknown kernel '{other}' (expected v1|v3)")),
         }
     }
 
@@ -54,7 +50,6 @@ impl KernelVersion {
     pub fn label(self) -> &'static str {
         match self {
             Self::V1 => "v1",
-            Self::V2 => "v2",
             Self::V3 => "v3",
         }
     }
@@ -97,40 +92,6 @@ impl ChunkScheduling {
             Self::Static => "static",
             Self::Guided => "guided",
             Self::Stealing => "stealing",
-        }
-    }
-}
-
-/// Physical layout of the CSR arc arrays during detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EdgeLayout {
-    /// Separate `targets` / `weights` arrays (two cache streams per
-    /// neighbour scan).
-    #[default]
-    Split,
-    /// Interleaved `(target, weight)` pairs, built once per pass graph
-    /// (one cache stream per scan, at the cost of one extra copy of the
-    /// arcs).
-    Interleaved,
-}
-
-impl EdgeLayout {
-    /// Parses a CLI/config token: `split` or `interleaved`.
-    pub fn parse(token: &str) -> Result<Self, String> {
-        match token {
-            "split" => Ok(Self::Split),
-            "interleaved" => Ok(Self::Interleaved),
-            other => Err(format!(
-                "unknown edge layout '{other}' (expected split|interleaved)"
-            )),
-        }
-    }
-
-    /// Canonical token for fingerprints and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Split => "split",
-            Self::Interleaved => "interleaved",
         }
     }
 }
@@ -265,19 +226,15 @@ pub struct LeidenConfig {
     pub seed: u64,
     /// Neighbourhood-scan kernel for the asynchronous phases.
     pub kernel: KernelVersion,
-    /// Degree cutoff for the fused kernel's stack-resident tier; must
-    /// not exceed [`gve_prim::SMALL_SCAN_CAP`]. Vertices above it use
-    /// the per-thread table. Defaults to
-    /// [`DEFAULT_SMALL_DEGREE_THRESHOLD`]: the map's lookup is a linear
-    /// scan, so past ~16 distinct candidates its O(d²) compare count
-    /// outweighs the cache-locality win over the dense table (measured
-    /// in `BENCH_kernels.json`).
+    /// Degree cutoff for the stack-resident scan tiers (kernel v3's
+    /// hash map, aggregation's linear map); must not exceed
+    /// [`gve_prim::SMALL_SCAN_CAP`]. Vertices (and communities, by total
+    /// degree) above it use the per-thread table. Defaults to
+    /// [`DEFAULT_SMALL_DEGREE_THRESHOLD`].
     pub small_degree_threshold: usize,
     /// Cache-aware vertex relabeling applied before detection
     /// (memberships are still reported in the caller's original ids).
     pub ordering: VertexOrdering,
-    /// Physical arc layout used during detection.
-    pub layout: EdgeLayout,
 }
 
 impl Default for LeidenConfig {
@@ -303,7 +260,6 @@ impl Default for LeidenConfig {
             kernel: KernelVersion::default(),
             small_degree_threshold: DEFAULT_SMALL_DEGREE_THRESHOLD,
             ordering: VertexOrdering::default(),
-            layout: EdgeLayout::default(),
         }
     }
 }
@@ -382,7 +338,7 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the fused kernel's degree cutoff.
+    /// Sets the stack tiers' degree cutoff.
     pub fn small_degree_threshold(mut self, threshold: usize) -> Self {
         self.small_degree_threshold = threshold;
         self
@@ -394,10 +350,14 @@ impl LeidenConfig {
         self
     }
 
-    /// Sets the physical arc layout.
-    pub fn layout(mut self, layout: EdgeLayout) -> Self {
-        self.layout = layout;
-        self
+    /// Degree bound under which aggregation tallies a community in the
+    /// stack-resident [`gve_prim::SmallScanMap`] instead of the
+    /// per-thread table (`None`: every community takes the table). The
+    /// stack tier rides with kernel v3; the v1 reference keeps the
+    /// paper's table-only path. Leiden and Louvain both aggregate
+    /// through this.
+    pub fn aggregation_small_threshold(&self) -> Option<usize> {
+        (self.kernel == KernelVersion::V3).then_some(self.small_degree_threshold)
     }
 
     /// Validates parameter sanity.
@@ -516,8 +476,7 @@ mod tests {
             .kernel(KernelVersion::V1)
             .chunk_size(512)
             .small_degree_threshold(32)
-            .ordering(VertexOrdering::DegreeDesc)
-            .layout(EdgeLayout::Interleaved);
+            .ordering(VertexOrdering::DegreeDesc);
         assert_eq!(c.refinement, RefinementStrategy::Random);
         assert_eq!(c.labeling, Labeling::RefineBased);
         assert_eq!(c.seed, 99);
@@ -525,17 +484,21 @@ mod tests {
         assert_eq!(c.chunk_size, 512);
         assert_eq!(c.small_degree_threshold, 32);
         assert_eq!(c.ordering, VertexOrdering::DegreeDesc);
-        assert_eq!(c.layout, EdgeLayout::Interleaved);
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn kernel_v2_is_the_default() {
+    fn kernel_v3_is_the_default() {
         let c = LeidenConfig::default();
-        assert_eq!(c.kernel, KernelVersion::V2);
+        assert_eq!(c.kernel, KernelVersion::V3);
         assert_eq!(c.small_degree_threshold, DEFAULT_SMALL_DEGREE_THRESHOLD);
         assert_eq!(c.ordering, VertexOrdering::Original);
-        assert_eq!(c.layout, EdgeLayout::Split);
+        assert_eq!(
+            c.aggregation_small_threshold(),
+            Some(DEFAULT_SMALL_DEGREE_THRESHOLD)
+        );
+        let v1 = c.kernel(KernelVersion::V1);
+        assert_eq!(v1.aggregation_small_threshold(), None);
     }
 
     #[test]
@@ -549,15 +512,12 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_layout_tokens_round_trip() {
-        for k in [KernelVersion::V1, KernelVersion::V2, KernelVersion::V3] {
+    fn kernel_tokens_round_trip() {
+        for k in [KernelVersion::V1, KernelVersion::V3] {
             assert_eq!(KernelVersion::parse(k.label()), Ok(k));
         }
-        for l in [EdgeLayout::Split, EdgeLayout::Interleaved] {
-            assert_eq!(EdgeLayout::parse(l.label()), Ok(l));
-        }
+        assert!(KernelVersion::parse("v2").is_err());
         assert!(KernelVersion::parse("v4").is_err());
-        assert!(EdgeLayout::parse("columnar").is_err());
     }
 
     #[test]

@@ -1,47 +1,31 @@
-//! Kernel v2: the fused, degree-aware neighbourhood-scan kernels.
+//! The neighbourhood-scan kernels: v3 in production, v1 as the oracle.
 //!
 //! The v1 scan (`scanCommunities` + `choose_best`) makes two passes per
 //! vertex: one over the edges to accumulate `K_{i→c}` in the per-thread
 //! collision-free table, and one over the touched keys to load each
-//! candidate's `Σ'` and evaluate the gain. Kernel v2 fuses the two:
+//! candidate's `Σ'` and evaluate the gain. It is kept only as the
+//! reference the differential tests compare against.
 //!
-//! * **degree-aware two-tier dispatch** — vertices with degree ≤
-//!   [`LeidenConfig::small_degree_threshold`] tally into a
-//!   [`SmallScanMap`] that lives on the worker's stack (a handful of
-//!   cache lines instead of scattered probes into the O(N) table); hubs
-//!   keep the v1 path, whose dense table is the right tool for many
-//!   distinct candidates;
-//! * **fused scan-and-choose** — the stack tier computes the running
-//!   argmax of the candidate *score* (see [`GainCoeffs::score`]) while
-//!   accumulating, caching each candidate's `Σ'` in the map's aux slot
-//!   on first touch. One edge pass, one sigma load per candidate, no
-//!   second iteration over touched keys.
+//! Kernel **v3** restructures that scan for the memory system with a
+//! degree-aware two-tier dispatch:
 //!
-//! The streaming argmax is exact because scores are non-decreasing in
-//! the accumulated weight (`lin > 0`, weights ≥ 0) and ties always
-//! resolve towards the smaller community id: whichever candidate ends
-//! with the (max score, min id) pair also wins the running comparison at
-//! its last update. Both tiers use the *same* score/gain arithmetic in
-//! the same order, so with frozen shared state v1 and v2 pick identical
-//! `(community, gain)` — the property `tests/kernels.rs` checks
-//! move-for-move.
+//! * vertices with degree ≤ [`LeidenConfig::small_degree_threshold`]
+//!   run an *accumulate-only* edge pass over the CSR row (no per-edge
+//!   score evaluation) into a [`HashScanMap`], a stack-resident
+//!   open-addressed map with O(1) probes whose aux slot *prefetches*
+//!   each candidate's `Σ'` on first touch — the scattered sigma load is
+//!   issued while the edge scan still has misses to hide behind. The
+//!   choose pass then folds once over the map's dense key/weight/aux
+//!   slices via [`gve_prim::simd::choose_prefetched`] with
+//!   autovectorizable arithmetic and **zero** scattered loads;
+//! * hubs keep the v1 two-pass path: measured head-to-head, the dense
+//!   table plus v1's choose loop beats gathered folds once the
+//!   candidate set is large.
 //!
-//! Kernel **v3** restructures the scan for the memory system instead of
-//! fusing it: the edge pass is *accumulate-only* (no per-edge score
-//! evaluation) over the CSR row as a direct slice — the interleaved
-//! `(target, weight)` row when the layout is built, the split slices
-//! otherwise. The low-degree tier tallies into a [`HashScanMap`], a
-//! stack-resident open-addressed map with O(1) probes whose aux slot
-//! *prefetches* each candidate's `Σ'` on first touch — the scattered
-//! sigma load is issued while the edge scan still has misses to hide
-//! behind. The choose pass then folds once over the map's dense
-//! key/weight/aux slices via [`gve_prim::simd::choose_prefetched`] with
-//! autovectorizable arithmetic and **zero** scattered loads. Hubs keep
-//! the v1 two-pass path: measured head-to-head, the dense table plus
-//! v1's choose loop beats gathered folds once the candidate set is
-//! large. Bit-identical to v1 on frozen state because the score/gain
+//! v3 is bit-identical to v1 on frozen state because the score/gain
 //! arithmetic and tie-breaks are unchanged and the argmax is
-//! order-independent (max score, ties to the smaller id).
+//! order-independent (max score, ties to the smaller id) — the property
+//! `tests/kernels.rs` checks move for move.
 
 use crate::config::{KernelVersion, LeidenConfig};
 use crate::localmove::choose_best;
@@ -51,94 +35,9 @@ use gve_prim::atomics::AtomicF64;
 use gve_prim::{simd, CommunityMap, HashScanMap, SmallScanMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Fused scan-and-choose over the stack-resident map: accumulates
-/// `K_{i→c}` for every neighbouring community of `i` (bounded to `i`'s
-/// community bound when `bounds` is given, self-loops skipped) while
-/// tracking the best move target, and returns `(community, gain)` when a
-/// strictly positive gain exists.
-///
-/// Callers must guarantee `graph.degree(i) ≤` [`gve_prim::SMALL_SCAN_CAP`]
-/// (debug-asserted by the map itself).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn fused_best_move(
-    small: &mut SmallScanMap,
-    graph: &CsrGraph,
-    membership: &[AtomicU32],
-    bounds: Option<&[VertexId]>,
-    i: VertexId,
-    current: VertexId,
-    p_i: f64,
-    sigma: &[AtomicF64],
-    coeffs: GainCoeffs,
-) -> Option<(VertexId, f64)> {
-    small.clear();
-    let mut best_key = VertexId::MAX;
-    let mut best_slot = usize::MAX;
-    let mut best_score = f64::NEG_INFINITY;
-    // The per-edge body, shared by the bounded and unbounded loops
-    // (specialized so the unbounded path pays no per-edge Option check).
-    let mut tally = |small: &mut SmallScanMap, j: VertexId, w: f32| {
-        // Relaxed: the asynchronous local-moving design (paper §4.1)
-        // tolerates reading a neighbor's stale community; convergence is
-        // driven by the outer iteration, not per-load freshness.
-        let c = membership[j as usize].load(Ordering::Relaxed);
-        let (slot, first) = small.add(c, w as f64);
-        if c == current {
-            return;
-        }
-        let sigma_c = if first {
-            let s = sigma[c as usize].load();
-            small.set_aux(slot, s);
-            s
-        } else {
-            small.aux_at(slot)
-        };
-        let score = coeffs.score(small.weight_at(slot), sigma_c, p_i);
-        // Re-hitting the reigning best slot can only raise its score.
-        if slot == best_slot {
-            best_score = score;
-        } else if score > best_score || (score == best_score && c < best_key) {
-            best_score = score;
-            best_key = c;
-            best_slot = slot;
-        }
-    };
-    match bounds {
-        None => {
-            for (j, w) in graph.scan_edges(i) {
-                if j != i {
-                    tally(small, j, w);
-                }
-            }
-        }
-        Some(bounds) => {
-            let bound = bounds[i as usize];
-            for (j, w) in graph.scan_edges(i) {
-                if j != i && bounds[j as usize] == bound {
-                    tally(small, j, w);
-                }
-            }
-        }
-    }
-    if best_slot == usize::MAX {
-        return None;
-    }
-    let k_to_current = small.weight(current);
-    let sigma_current = sigma[current as usize].load();
-    let gain = coeffs.gain(
-        small.weight_at(best_slot),
-        k_to_current,
-        p_i,
-        small.aux_at(best_slot),
-        sigma_current,
-    );
-    (gain > 0.0).then_some((best_key, gain))
-}
-
 /// The two-pass reference kernel (v1): scan into the per-thread table,
-/// then pick the best community with [`choose_best`]. Also the hub path
-/// of kernel v2.
+/// then pick the best community with [`choose_best`]. Also the hub tier
+/// of kernel v3.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn two_pass_best_move(
@@ -153,77 +52,40 @@ pub fn two_pass_best_move(
     coeffs: GainCoeffs,
 ) -> Option<(VertexId, f64)> {
     ht.clear();
-    // Relaxed membership loads: stale neighbor communities are fine
-    // under the asynchronous local-moving design (see `fused_best_move`).
-    match bounds {
-        Some(b) => {
-            let bound = b[i as usize];
-            for (j, w) in graph.scan_edges(i) {
-                if j == i || b[j as usize] != bound {
-                    continue;
-                }
-                // Relaxed: as above.
-                ht.add(membership[j as usize].load(Ordering::Relaxed), w as f64);
-            }
-        }
-        None => {
-            for (j, w) in graph.scan_edges(i) {
-                if j == i {
-                    continue;
-                }
-                // Relaxed: as above.
-                ht.add(membership[j as usize].load(Ordering::Relaxed), w as f64);
-            }
-        }
-    }
+    scan(graph, membership, bounds, i, |c, w| ht.add(c, w));
     choose_best(ht, current, p_i, sigma, coeffs)
 }
 
-/// Accumulate-only edge scan for kernel v3: feeds each retained
-/// `(community, weight)` contribution of `i`'s row to `acc`. The layout
-/// branch happens once per vertex (not per edge, as [`CsrGraph::scan_edges`]'s
-/// enum dispatch does), and the body is a bare load → accumulate with no
-/// scoring, so the compiler keeps the membership loads independent and
-/// the loop tight.
+/// Accumulate-only edge scan shared by both kernels and random
+/// refinement: feeds each retained `(community, weight)` contribution
+/// of `i`'s row to `acc` (self-loops skipped; with `bounds`, only
+/// neighbours sharing `i`'s bound). The bounds branch happens once per vertex, and the body is a
+/// bare load → accumulate with no scoring, so the compiler keeps the
+/// membership loads independent and the loop tight.
 #[inline]
-fn v3_scan<F: FnMut(u32, f64)>(
+pub(crate) fn scan<F: FnMut(u32, f64)>(
     graph: &CsrGraph,
     membership: &[AtomicU32],
     bounds: Option<&[VertexId]>,
     i: VertexId,
     mut acc: F,
 ) {
-    // Relaxed membership loads throughout: the asynchronous design
-    // tolerates stale neighbor communities (see `fused_best_move`).
-    match (graph.interleaved_row(i), bounds) {
-        (Some(row), None) => {
-            for &(j, w) in row {
+    // Relaxed membership loads throughout: the asynchronous local-moving
+    // design (paper §4.1) tolerates reading a neighbour's stale
+    // community; convergence is driven by the outer iteration, not
+    // per-load freshness.
+    match bounds {
+        None => {
+            for (j, w) in graph.edges(i) {
                 if j != i {
                     // Relaxed: asynchronous design, see above.
                     acc(membership[j as usize].load(Ordering::Relaxed), w as f64);
                 }
             }
         }
-        (Some(row), Some(b)) => {
+        Some(b) => {
             let bound = b[i as usize];
-            for &(j, w) in row {
-                if j != i && b[j as usize] == bound {
-                    // Relaxed: asynchronous design, see above.
-                    acc(membership[j as usize].load(Ordering::Relaxed), w as f64);
-                }
-            }
-        }
-        (None, None) => {
-            for (&j, &w) in graph.neighbors(i).iter().zip(graph.edge_weights(i)) {
-                if j != i {
-                    // Relaxed: asynchronous design, see above.
-                    acc(membership[j as usize].load(Ordering::Relaxed), w as f64);
-                }
-            }
-        }
-        (None, Some(b)) => {
-            let bound = b[i as usize];
-            for (&j, &w) in graph.neighbors(i).iter().zip(graph.edge_weights(i)) {
+            for (j, w) in graph.edges(i) {
                 if j != i && b[j as usize] == bound {
                     // Relaxed: asynchronous design, see above.
                     acc(membership[j as usize].load(Ordering::Relaxed), w as f64);
@@ -263,7 +125,7 @@ pub fn v3_best_move(
     let qp = coeffs.quad * p_i;
     let (best, k_to_current) = if use_small {
         hash.clear();
-        v3_scan(graph, membership, bounds, i, |c, w| {
+        scan(graph, membership, bounds, i, |c, w| {
             // Σ' prefetch: the aux callback runs on a candidate's first
             // touch, issuing its scattered load while the edge scan
             // still has misses to hide behind, so the choose pass below
@@ -289,15 +151,13 @@ pub fn v3_best_move(
     (gain > 0.0).then_some((best.key, gain))
 }
 
-/// Degree-aware dispatch: the fused stack tier for low-degree vertices
-/// under kernel v2, the lane-chunked paths under v3, the two-pass table
-/// path otherwise. This is the single entry point the local-moving and
+/// The configured kernel for one vertex: v3's degree-aware dispatch, or
+/// the v1 reference. This is the entry point the local-moving and
 /// greedy-refinement loops use.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn best_move(
+pub(crate) fn dispatch(
     ht: &mut CommunityMap,
-    small: &mut SmallScanMap,
     hash: &mut HashScanMap,
     graph: &CsrGraph,
     membership: &[AtomicU32],
@@ -313,17 +173,6 @@ pub fn best_move(
         KernelVersion::V1 => two_pass_best_move(
             ht, graph, membership, bounds, i, current, p_i, sigma, coeffs,
         ),
-        KernelVersion::V2 => {
-            if graph.degree(i) <= config.small_degree_threshold {
-                fused_best_move(
-                    small, graph, membership, bounds, i, current, p_i, sigma, coeffs,
-                )
-            } else {
-                two_pass_best_move(
-                    ht, graph, membership, bounds, i, current, p_i, sigma, coeffs,
-                )
-            }
-        }
         KernelVersion::V3 => {
             let use_small = graph.degree(i) <= config.small_degree_threshold;
             v3_best_move(
@@ -331,6 +180,32 @@ pub fn best_move(
             )
         }
     }
+}
+
+/// Public form of the kernel dispatch used by the phase loops.
+///
+/// `_small` is unused. It stays in the parameter list because the
+/// repository benchmark (`perfbench/src/layers.rs`) calls this function
+/// with it; drop it with the next change to the benchmark.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn best_move(
+    ht: &mut CommunityMap,
+    _small: &mut SmallScanMap,
+    hash: &mut HashScanMap,
+    graph: &CsrGraph,
+    membership: &[AtomicU32],
+    bounds: Option<&[VertexId]>,
+    i: VertexId,
+    current: VertexId,
+    p_i: f64,
+    sigma: &[AtomicF64],
+    coeffs: GainCoeffs,
+    config: &LeidenConfig,
+) -> Option<(VertexId, f64)> {
+    dispatch(
+        ht, hash, graph, membership, bounds, i, current, p_i, sigma, coeffs, config,
+    )
 }
 
 #[cfg(test)]
@@ -356,9 +231,78 @@ mod tests {
         (atomic, penalty, atomic_f64_from_slice(&sigma), coeffs)
     }
 
-    /// Both kernels must agree bit-for-bit on a frozen state.
+    /// v3 must agree bit-for-bit with v1 on frozen state for every
+    /// vertex, through both tiers, with and without refinement bounds;
+    /// bounded moves must stay inside the vertex's bound.
+    fn assert_v3_matches_v1(graph: &CsrGraph, labels: &[u32], bounds: &[u32]) {
+        let n = graph.num_vertices();
+        let (membership, penalty, sigma, coeffs) = setup(graph, labels);
+        let mut ht = CommunityMap::new(n);
+        let mut hash = HashScanMap::new();
+        for bound in [None, Some(bounds)] {
+            for i in 0..n as u32 {
+                let current = labels[i as usize];
+                let v1 = two_pass_best_move(
+                    &mut ht,
+                    graph,
+                    &membership,
+                    bound,
+                    i,
+                    current,
+                    penalty[i as usize],
+                    &sigma,
+                    coeffs,
+                );
+                if let (Some(b), Some((target, _))) = (bound, v1) {
+                    assert_eq!(
+                        b[target as usize], b[i as usize],
+                        "vertex {i} escaped its bound"
+                    );
+                }
+                for use_small in [false, true] {
+                    if use_small && graph.degree(i) > gve_prim::HASH_SCAN_CAP {
+                        continue;
+                    }
+                    let v3 = v3_best_move(
+                        &mut ht,
+                        &mut hash,
+                        graph,
+                        &membership,
+                        bound,
+                        i,
+                        current,
+                        penalty[i as usize],
+                        &sigma,
+                        coeffs,
+                        use_small,
+                    );
+                    assert_eq!(
+                        v1,
+                        v3,
+                        "vertex {i} use_small={use_small} bounded={}",
+                        bound.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A weighted hub with leaves and a few leaf-leaf edges.
     #[test]
-    fn fused_matches_two_pass_on_frozen_state() {
+    fn v3_matches_two_pass_on_frozen_state() {
+        let edges: Vec<(u32, u32, f32)> = (1..12u32)
+            .map(|v| (0, v, 0.5 + v as f32))
+            .chain([(1, 2, 1.0), (3, 4, 2.0), (5, 6, 1.5), (7, 8, 0.25)])
+            .collect();
+        let graph = GraphBuilder::from_edges(12, &edges);
+        let labels = [0u32, 0, 0, 3, 3, 3, 6, 6, 6, 9, 9, 9];
+        let bounds = [0u32, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
+        assert_v3_matches_v1(&graph, &labels, &bounds);
+    }
+
+    /// Two triangles joined by a bridge, each triangle one community.
+    #[test]
+    fn v3_matches_two_pass_on_two_triangles() {
         let graph = GraphBuilder::from_edges(
             6,
             &[
@@ -372,40 +316,14 @@ mod tests {
             ],
         );
         let labels = [0u32, 0, 0, 3, 3, 3];
-        let (membership, penalty, sigma, coeffs) = setup(&graph, &labels);
-        let mut ht = CommunityMap::new(6);
-        let mut small = SmallScanMap::new();
-        for i in 0..6u32 {
-            let current = labels[i as usize];
-            let v1 = two_pass_best_move(
-                &mut ht,
-                &graph,
-                &membership,
-                None,
-                i,
-                current,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
-            let v2 = fused_best_move(
-                &mut small,
-                &graph,
-                &membership,
-                None,
-                i,
-                current,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
-            assert_eq!(v1, v2, "vertex {i}");
-        }
+        let bounds = [0u32, 0, 0, 1, 1, 1];
+        assert_v3_matches_v1(&graph, &labels, &bounds);
     }
 
-    /// With bounds, both kernels see the same restricted candidate set.
+    /// Singletons over two triangles joined by a heavy bridge: unbounded,
+    /// the bridge endpoints want each other; bounded, they must not.
     #[test]
-    fn bounded_variants_agree() {
+    fn v3_matches_two_pass_with_heavy_bridge_and_bounds() {
         let graph = GraphBuilder::from_edges(
             6,
             &[
@@ -418,62 +336,27 @@ mod tests {
                 (2, 3, 5.0),
             ],
         );
-        let bounds = [0u32, 0, 0, 1, 1, 1];
         let singleton: Vec<u32> = (0..6).collect();
-        let (membership, penalty, sigma, coeffs) = setup(&graph, &singleton);
-        let mut ht = CommunityMap::new(6);
-        let mut small = SmallScanMap::new();
-        for i in 0..6u32 {
-            let v1 = two_pass_best_move(
-                &mut ht,
-                &graph,
-                &membership,
-                Some(&bounds),
-                i,
-                i,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
-            let v2 = fused_best_move(
-                &mut small,
-                &graph,
-                &membership,
-                Some(&bounds),
-                i,
-                i,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
-            assert_eq!(v1, v2, "vertex {i}");
-            if let Some((target, _)) = v2 {
-                assert_eq!(
-                    bounds[target as usize], bounds[i as usize],
-                    "vertex {i} escaped its bound"
-                );
-            }
-        }
+        let bounds = [0u32, 0, 0, 1, 1, 1];
+        assert_v3_matches_v1(&graph, &singleton, &bounds);
     }
 
-    /// The dispatch threshold routes hubs to the table path.
+    /// The dispatch threshold routes hubs to the table path; both tiers
+    /// answer like the reference.
     #[test]
     fn dispatch_respects_threshold() {
-        // Star: hub 0 with 5 leaves.
-        let edges: Vec<(u32, u32, f32)> = (1..6).map(|v| (0, v, 1.0)).collect();
+        // Star: hub 0 with 5 leaves, weights 1..=5.
+        let edges: Vec<(u32, u32, f32)> = (1..6).map(|v| (0, v, v as f32)).collect();
         let graph = GraphBuilder::from_edges(6, &edges);
         let singleton: Vec<u32> = (0..6).collect();
         let (membership, penalty, sigma, coeffs) = setup(&graph, &singleton);
         let mut ht = CommunityMap::new(6);
-        let mut small = SmallScanMap::new();
         let mut hash = HashScanMap::new();
+        // Hub (degree 5 > 2) and leaves (degree 1 ≤ 2).
         let config = LeidenConfig::default().small_degree_threshold(2);
-        // Hub (degree 5 > 2) and leaves (degree 1 ≤ 2) both produce the
-        // same answer through the dispatcher as through either kernel.
         for i in 0..6u32 {
-            let got = best_move(
+            let got = dispatch(
                 &mut ht,
-                &mut small,
                 &mut hash,
                 &graph,
                 &membership,
@@ -515,16 +398,12 @@ mod tests {
         let singleton: Vec<u32> = (0..=cap).collect();
         let (membership, penalty, sigma, coeffs) = setup(&graph, &singleton);
         let mut ht = CommunityMap::new(cap as usize + 1);
-        let mut small = SmallScanMap::new();
         let mut hash = HashScanMap::new();
-        let config = LeidenConfig::default()
-            .kernel(KernelVersion::V3)
-            .small_degree_threshold(gve_prim::HASH_SCAN_CAP);
+        let config = LeidenConfig::default().small_degree_threshold(gve_prim::HASH_SCAN_CAP);
         config.validate().expect("threshold at the cap is legal");
         assert!(graph.degree(0) <= config.small_degree_threshold);
-        let got = best_move(
+        let got = dispatch(
             &mut ht,
-            &mut small,
             &mut hash,
             &graph,
             &membership,
@@ -558,7 +437,6 @@ mod tests {
         let labels = [0u32, 0, 2];
         let (membership, penalty, sigma, coeffs) = setup(&graph, &labels);
         let mut ht = CommunityMap::new(3);
-        let mut small = SmallScanMap::new();
         let mut hash = HashScanMap::new();
         for i in 0..3u32 {
             let v1 = two_pass_best_move(
@@ -572,19 +450,7 @@ mod tests {
                 &sigma,
                 coeffs,
             );
-            let v2 = fused_best_move(
-                &mut small,
-                &graph,
-                &membership,
-                None,
-                i,
-                labels[i as usize],
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
             assert_eq!(v1, None, "vertex {i}");
-            assert_eq!(v2, None, "vertex {i}");
             for use_small in [false, true] {
                 let v3 = v3_best_move(
                     &mut ht,
@@ -601,111 +467,6 @@ mod tests {
                 );
                 assert_eq!(v3, None, "vertex {i} use_small={use_small}");
             }
-        }
-    }
-
-    /// v3 must agree bit-for-bit with v1 on frozen state, through both
-    /// tiers, both layouts, and with refinement bounds.
-    #[test]
-    fn v3_matches_two_pass_on_frozen_state() {
-        let edges: Vec<(u32, u32, f32)> = (1..12u32)
-            .map(|v| (0, v, 0.5 + v as f32))
-            .chain([(1, 2, 1.0), (3, 4, 2.0), (5, 6, 1.5), (7, 8, 0.25)])
-            .collect();
-        let split = GraphBuilder::from_edges(12, &edges);
-        let interleaved = split.clone();
-        interleaved.build_interleaved();
-        let labels = [0u32, 0, 0, 3, 3, 3, 6, 6, 6, 9, 9, 9];
-        let bounds = [0u32, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1];
-        for graph in [&split, &interleaved] {
-            let (membership, penalty, sigma, coeffs) = setup(graph, &labels);
-            let mut ht = CommunityMap::new(12);
-            let mut hash = HashScanMap::new();
-            for bound in [None, Some(&bounds[..])] {
-                for i in 0..12u32 {
-                    let current = labels[i as usize];
-                    let v1 = two_pass_best_move(
-                        &mut ht,
-                        graph,
-                        &membership,
-                        bound,
-                        i,
-                        current,
-                        penalty[i as usize],
-                        &sigma,
-                        coeffs,
-                    );
-                    for use_small in [false, true] {
-                        if use_small && graph.degree(i) > gve_prim::HASH_SCAN_CAP {
-                            continue;
-                        }
-                        let v3 = v3_best_move(
-                            &mut ht,
-                            &mut hash,
-                            graph,
-                            &membership,
-                            bound,
-                            i,
-                            current,
-                            penalty[i as usize],
-                            &sigma,
-                            coeffs,
-                            use_small,
-                        );
-                        assert_eq!(
-                            v1,
-                            v3,
-                            "vertex {i} use_small={use_small} bounded={}",
-                            bound.is_some()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// The v3 dispatcher path through `best_move` equals the v1 kernel
-    /// on frozen state for every vertex of a star (hub + leaves).
-    #[test]
-    fn v3_dispatch_matches_reference() {
-        let edges: Vec<(u32, u32, f32)> = (1..6).map(|v| (0, v, v as f32)).collect();
-        let graph = GraphBuilder::from_edges(6, &edges);
-        graph.build_interleaved();
-        let singleton: Vec<u32> = (0..6).collect();
-        let (membership, penalty, sigma, coeffs) = setup(&graph, &singleton);
-        let mut ht = CommunityMap::new(6);
-        let mut small = SmallScanMap::new();
-        let mut hash = HashScanMap::new();
-        let config = LeidenConfig::default()
-            .kernel(KernelVersion::V3)
-            .small_degree_threshold(2);
-        for i in 0..6u32 {
-            let got = best_move(
-                &mut ht,
-                &mut small,
-                &mut hash,
-                &graph,
-                &membership,
-                None,
-                i,
-                i,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-                &config,
-            );
-            let reference = two_pass_best_move(
-                &mut ht,
-                &graph,
-                &membership,
-                None,
-                i,
-                i,
-                penalty[i as usize],
-                &sigma,
-                coeffs,
-            );
-            assert_eq!(got, reference, "vertex {i}");
         }
     }
 }

@@ -17,7 +17,7 @@ use crate::objective::GainCoeffs;
 use gve_graph::{CsrGraph, VertexId};
 use gve_prim::atomics::AtomicF64;
 use gve_prim::sched::{scheduled_workers, SchedStats, Schedule};
-use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread, SmallScanMap};
+use gve_prim::{AtomicBitset, CommunityMap, HashScanMap, PerThread};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Maps the configured chunking policy onto a concrete [`Schedule`] for
@@ -51,7 +51,7 @@ pub fn scan_communities(
     i: VertexId,
     include_self: bool,
 ) {
-    for (j, w) in graph.scan_edges(i) {
+    for (j, w) in graph.edges(i) {
         if !include_self && j == i {
             continue;
         }
@@ -71,8 +71,8 @@ pub fn scan_communities(
 /// penalty totals (`Σ'` of the paper).
 /// The argmax runs over candidate *scores* (see [`GainCoeffs::score`]):
 /// scores differ from gains by a candidate-independent constant, so the
-/// winner is the same, and the fused kernel
-/// ([`crate::kernel::fused_best_move`]) uses the identical score
+/// winner is the same, and kernel v3's lane fold
+/// ([`gve_prim::simd::choose_prefetched`]) uses the identical score
 /// arithmetic — which is what makes the two kernels agree bit-for-bit on
 /// frozen state.
 #[inline]
@@ -143,9 +143,8 @@ pub fn local_move(
     while outcome.gains.len() < config.max_iterations {
         let (results, sched) = scheduled_workers(n, schedule_for(config, graph), |claims| {
             tables.with(|ht| {
-                // Stack tiers of the kernel-v2/v3 two-tier scans; unused
-                // (and costless) when kernel v1 is configured.
-                let mut small = SmallScanMap::new();
+                // Stack tier of kernel v3's two-tier scan; unused (and
+                // costless) when kernel v1 is configured.
                 let mut hash = HashScanMap::new();
                 let mut local_dq = 0.0;
                 let mut local_processed = 0u64;
@@ -165,9 +164,9 @@ pub fn local_move(
                         // racing readers tolerate staleness by design.
                         let current = membership[i as usize].load(Ordering::Relaxed);
                         let p_i = penalty[i as usize];
-                        if let Some((target, gain)) = crate::kernel::best_move(
-                            ht, &mut small, &mut hash, graph, membership, None, i, current, p_i,
-                            sigma, coeffs, config,
+                        if let Some((target, gain)) = crate::kernel::dispatch(
+                            ht, &mut hash, graph, membership, None, i, current, p_i, sigma, coeffs,
+                            config,
                         ) {
                             // Asynchronous commit: weight transfer is
                             // atomic per community, membership is a

@@ -98,11 +98,9 @@ impl GainCoeffs {
     /// The gain decomposes as
     /// `gain(c) = score(c) − score(d) − quad·p_i²`, and the subtracted
     /// terms are the same for every candidate `c`, so an argmax over
-    /// scores is an argmax over gains. This is what lets the fused
-    /// kernel pick the best target while still accumulating `K_{i→c}`:
-    /// with `lin > 0` and nonnegative edge weights a candidate's score
-    /// only grows as its edges accumulate, so a running maximum over
-    /// partial scores ends at the batch argmax.
+    /// scores is an argmax over gains. This is what lets both kernels
+    /// evaluate one candidate-local quantity per community and compute
+    /// the full gain once, for the winner only.
     #[inline(always)]
     pub fn score(&self, k_i_to_c: f64, p_c: f64, p_i: f64) -> f64 {
         self.lin * k_i_to_c - self.quad * p_i * p_c

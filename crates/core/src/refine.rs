@@ -20,30 +20,8 @@ use crate::objective::GainCoeffs;
 use gve_graph::{CsrGraph, VertexId};
 use gve_prim::atomics::AtomicF64;
 use gve_prim::sched::{scheduled_workers, SchedStats};
-use gve_prim::{CommunityMap, HashScanMap, PerThread, SmallScanMap, Xorshift32};
+use gve_prim::{CommunityMap, HashScanMap, PerThread, Xorshift32};
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Scans the communities adjacent to `i` *within the same community
-/// bound* (`scanBounded` of Algorithm 3).
-#[inline]
-fn scan_bounded(
-    ht: &mut CommunityMap,
-    graph: &CsrGraph,
-    bounds: &[VertexId],
-    membership: &[AtomicU32],
-    i: VertexId,
-) {
-    let bound = bounds[i as usize];
-    for (j, w) in graph.scan_edges(i) {
-        if j == i || bounds[j as usize] != bound {
-            continue;
-        }
-        // Relaxed: stale neighbor communities are tolerated by the
-        // asynchronous design; the CAS claim below is what isolates
-        // the actual merge.
-        ht.add(membership[j as usize].load(Ordering::Relaxed), w as f64);
-    }
-}
 
 /// Runs the refinement phase; returns the number of vertices that
 /// changed community (the paper's `l_j`) plus the phase's scheduling
@@ -64,7 +42,6 @@ pub(crate) fn refine(
 
     let (results, sched) = scheduled_workers(n, schedule_for(config, graph), |claims| {
         tables.with(|ht| {
-            let mut small = SmallScanMap::new();
             let mut hash = HashScanMap::new();
             let mut candidates: Vec<(VertexId, f64)> = Vec::new();
             let mut moves = 0u64;
@@ -82,13 +59,13 @@ pub(crate) fn refine(
                     }
                     let i = i as VertexId;
                     let target = match config.refinement {
-                        // Greedy goes through the degree-aware dispatch
-                        // (fused for low-degree vertices under kernel
-                        // v2); random stays on the two-pass path, whose
-                        // proportional draw needs the full candidate set.
-                        RefinementStrategy::Greedy => crate::kernel::best_move(
+                        // Greedy goes through the kernel dispatch (the
+                        // stack tier for low-degree vertices under
+                        // kernel v3); random stays on the two-pass path,
+                        // whose proportional draw needs the full
+                        // candidate set.
+                        RefinementStrategy::Greedy => crate::kernel::dispatch(
                             ht,
-                            &mut small,
                             &mut hash,
                             graph,
                             membership,
@@ -102,8 +79,12 @@ pub(crate) fn refine(
                         )
                         .map(|(t, _)| t),
                         RefinementStrategy::Random => {
+                            // `scanBounded` of Algorithm 3: neighbours
+                            // within `i`'s community bound only.
                             ht.clear();
-                            scan_bounded(ht, graph, bounds, membership, i);
+                            crate::kernel::scan(graph, membership, Some(bounds), i, |c, w| {
+                                ht.add(c, w)
+                            });
                             choose_proportional(
                                 ht,
                                 current,

@@ -1,25 +1,25 @@
-//! Differential tests of the kernel-v2/v3 machinery: the fused kernel
-//! and the lane-chunked v3 kernel must pick exactly the same
-//! `(community, gain)` as the two-pass reference on any frozen state
-//! (both v3 tiers, both edge layouts, every chunk-scheduling policy),
-//! and cache-aware relabeling must be invisible in the reported result.
+//! Differential tests of the production kernel: v3 must pick exactly
+//! the same `(community, gain)` as the two-pass v1 reference on any
+//! frozen state (both v3 tiers, every dispatch threshold, with and
+//! without refinement bounds) and end to end under every
+//! chunk-scheduling policy, and cache-aware relabeling must be
+//! invisible in the reported result.
 //! Running this suite with `--features gve-prim/scalar-scan` swaps the
 //! lane fold for its scalar reference, covering both code paths.
 
 use gve_graph::{CsrGraph, GraphBuilder};
-use gve_leiden::kernel::{best_move, fused_best_move, two_pass_best_move, v3_best_move};
+use gve_leiden::kernel::{best_move, two_pass_best_move, v3_best_move};
 use gve_leiden::{
-    ChunkScheduling, EdgeLayout, KernelVersion, Leiden, LeidenConfig, Objective, Scheduling,
-    VertexOrdering,
+    ChunkScheduling, KernelVersion, Leiden, LeidenConfig, Objective, Scheduling, VertexOrdering,
 };
 use gve_prim::atomics::{atomic_f64_from_slice, AtomicF64};
 use gve_prim::{CommunityMap, HashScanMap, SmallScanMap};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicU32;
 
-/// Random small weighted graphs: every vertex's degree stays below the
-/// stack-map capacity (n ≤ 48 distinct neighbours < SMALL_SCAN_CAP), so
-/// the fused kernel is callable for all of them.
+/// Random small weighted graphs: every vertex's distinct neighbours stay
+/// below the stack-map capacity (n ≤ 48 < HASH_SCAN_CAP), so v3's stack
+/// tier is callable for all of them.
 fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32, f32)>)> {
     (2..max_n).prop_flat_map(move |n| {
         proptest::collection::vec((0..n, 0..n, 1u32..6), 1..max_m).prop_map(move |edges| {
@@ -54,11 +54,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// On every vertex of any random weighted graph, under any
-    /// membership, the fused kernel and the two-pass reference return
-    /// bit-identical `(community, gain)` — with and without refinement
-    /// bounds, for both objectives.
+    /// membership, the default kernel behind the public `best_move`
+    /// entry point and the two-pass reference return bit-identical
+    /// `(community, gain)` — with and without refinement bounds, for
+    /// both objectives.
     #[test]
-    fn fused_and_two_pass_agree(
+    fn default_kernel_agrees_with_two_pass(
         (n, edges) in arb_graph(48, 220),
         labels_seed in 0u64..1000,
         cpm in 0u32..2,
@@ -82,8 +83,10 @@ proptest! {
             Objective::default()
         };
         let coeffs = objective.coeffs(m.max(f64::MIN_POSITIVE));
+        let config = LeidenConfig::default();
         let mut ht = CommunityMap::new(n as usize);
         let mut small = SmallScanMap::new();
+        let mut hash = HashScanMap::new();
         for i in 0..n {
             let current = labels[i as usize];
             let p_i = penalty[i as usize];
@@ -91,31 +94,27 @@ proptest! {
                 let v1 = two_pass_best_move(
                     &mut ht, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
                 );
-                let v2 = fused_best_move(
-                    &mut small, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
+                let v3 = best_move(
+                    &mut ht, &mut small, &mut hash, &graph, &membership, bound, i, current,
+                    p_i, &sigma, coeffs, &config,
                 );
-                prop_assert_eq!(v1, v2, "vertex {} (bounded: {})", i, bound.is_some());
+                prop_assert_eq!(v1, v3, "vertex {} (bounded: {})", i, bound.is_some());
             }
         }
     }
 
     /// The degree-aware dispatcher equals the reference for every
-    /// threshold, including ones that split the graph across both tiers,
-    /// and regardless of the edge layout.
+    /// threshold, including ones that split the graph across both tiers.
     #[test]
-    fn dispatch_is_layout_and_threshold_invariant(
+    fn dispatch_is_threshold_invariant(
         (n, edges) in arb_graph(32, 120),
         threshold in 1usize..16,
     ) {
         let graph = GraphBuilder::from_edges(n as usize, &edges);
-        let interleaved = graph.clone();
-        interleaved.build_interleaved();
         let labels: Vec<u32> = (0..n).map(|v| v % 5).collect();
         let (membership, penalty, sigma) = frozen_state(&graph, &labels);
         let coeffs = Objective::default().coeffs((graph.total_arc_weight() / 2.0).max(f64::MIN_POSITIVE));
-        let config = LeidenConfig::default()
-            .kernel(KernelVersion::V2)
-            .small_degree_threshold(threshold);
+        let config = LeidenConfig::default().small_degree_threshold(threshold);
         let mut ht = CommunityMap::new(n as usize);
         let mut small = SmallScanMap::new();
         let mut hash = HashScanMap::new();
@@ -129,18 +128,13 @@ proptest! {
                 &mut ht, &mut small, &mut hash, &graph, &membership, None, i, current, p_i,
                 &sigma, coeffs, &config,
             );
-            let on_interleaved = best_move(
-                &mut ht, &mut small, &mut hash, &interleaved, &membership, None, i, current,
-                p_i, &sigma, coeffs, &config,
-            );
             prop_assert_eq!(reference, dispatched, "vertex {} threshold {}", i, threshold);
-            prop_assert_eq!(reference, on_interleaved, "vertex {} interleaved", i);
         }
     }
 
     /// The v3 kernel is bit-identical to the two-pass reference on any
-    /// frozen state: both tiers (stack map and hashtable), both edge
-    /// layouts, with and without refinement bounds, for both objectives.
+    /// frozen state: both tiers (stack map and hashtable), with and
+    /// without refinement bounds, for both objectives.
     #[test]
     fn v3_agrees_with_two_pass(
         (n, edges) in arb_graph(48, 220),
@@ -148,8 +142,6 @@ proptest! {
         cpm in 0u32..2,
     ) {
         let graph = GraphBuilder::from_edges(n as usize, &edges);
-        let interleaved = graph.clone();
-        interleaved.build_interleaved();
         let labels: Vec<u32> = (0..n)
             .map(|v| {
                 let mut x = labels_seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -176,18 +168,16 @@ proptest! {
                 let reference = two_pass_best_move(
                     &mut ht, &graph, &membership, bound, i, current, p_i, &sigma, coeffs,
                 );
-                for g in [&graph, &interleaved] {
-                    for use_small in [false, true] {
-                        let v3 = v3_best_move(
-                            &mut ht, &mut hash, g, &membership, bound, i, current, p_i,
-                            &sigma, coeffs, use_small,
-                        );
-                        prop_assert_eq!(
-                            reference, v3,
-                            "vertex {} (bounded: {}, small: {}, interleaved: {})",
-                            i, bound.is_some(), use_small, g.interleaved().is_some()
-                        );
-                    }
+                for use_small in [false, true] {
+                    let v3 = v3_best_move(
+                        &mut ht, &mut hash, &graph, &membership, bound, i, current, p_i,
+                        &sigma, coeffs, use_small,
+                    );
+                    prop_assert_eq!(
+                        reference, v3,
+                        "vertex {} (bounded: {}, small: {})",
+                        i, bound.is_some(), use_small
+                    );
                 }
             }
         }
@@ -251,47 +241,28 @@ fn relabeling_round_trips_through_detection() {
     }
 }
 
-/// The interleaved layout changes nothing observable end-to-end.
-#[test]
-fn interleaved_layout_matches_split_end_to_end() {
-    let planted = gve_generate::PlantedPartition::new(1200, 12, 10.0, 0.8)
-        .seed(3)
-        .generate();
-    let base = LeidenConfig::default().scheduling(Scheduling::ColorSynchronous);
-    let split = Leiden::new(base.clone()).run(&planted.graph);
-    let inter = Leiden::new(base.layout(EdgeLayout::Interleaved)).run(&planted.graph);
-    assert_eq!(split.membership, inter.membership);
-}
-
-/// Under the deterministic color-synchronous schedule, kernel v3 is
-/// bit-identical to v1 end-to-end for every layout × chunk-scheduling
-/// combination (chunking only redistributes work across workers; the
-/// per-vertex decisions are the same).
+/// Under the deterministic color-synchronous schedule, the default
+/// configuration (kernel v3) is bit-identical to v1 end-to-end for
+/// every chunk-scheduling policy (chunking only redistributes work
+/// across workers; the per-vertex decisions are the same).
 #[test]
 fn v3_end_to_end_is_bitwise_identical_to_v1() {
     let planted = gve_generate::PlantedPartition::new(1500, 12, 10.0, 0.8)
         .seed(11)
         .generate();
     let base = LeidenConfig::default().scheduling(Scheduling::ColorSynchronous);
+    assert_eq!(base.kernel, KernelVersion::V3);
     let v1 = Leiden::new(base.clone().kernel(KernelVersion::V1)).run(&planted.graph);
-    for layout in [EdgeLayout::Split, EdgeLayout::Interleaved] {
-        for chunking in [
-            ChunkScheduling::Static,
-            ChunkScheduling::Guided,
-            ChunkScheduling::Stealing,
-        ] {
-            let v3 = Leiden::new(
-                base.clone()
-                    .kernel(KernelVersion::V3)
-                    .layout(layout)
-                    .chunking(chunking),
-            )
-            .run(&planted.graph);
-            assert_eq!(
-                v1.membership, v3.membership,
-                "v3 diverged from v1 ({layout:?}, {chunking:?})"
-            );
-        }
+    for chunking in [
+        ChunkScheduling::Static,
+        ChunkScheduling::Guided,
+        ChunkScheduling::Stealing,
+    ] {
+        let v3 = Leiden::new(base.clone().chunking(chunking)).run(&planted.graph);
+        assert_eq!(
+            v1.membership, v3.membership,
+            "v3 diverged from v1 ({chunking:?})"
+        );
     }
 }
 
@@ -315,13 +286,7 @@ fn v3_async_quality_and_sched_counters() {
         ChunkScheduling::Guided,
         ChunkScheduling::Stealing,
     ] {
-        let result = Leiden::new(
-            LeidenConfig::default()
-                .kernel(KernelVersion::V3)
-                .layout(EdgeLayout::Interleaved)
-                .chunking(chunking),
-        )
-        .run(g);
+        let result = Leiden::new(LeidenConfig::default().chunking(chunking)).run(g);
         let q3 = gve_quality::modularity(g, &result.membership);
         assert!(
             (q1 - q3).abs() < 0.05,

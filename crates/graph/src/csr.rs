@@ -5,7 +5,6 @@
 //! paper's `|E|` counts arcs "after adding reverse edges", Table 2).
 
 use crate::{EdgeWeight, VertexId};
-use std::sync::OnceLock;
 
 /// Compressed-sparse-row weighted graph.
 ///
@@ -14,28 +13,11 @@ use std::sync::OnceLock;
 ///   `offsets.len() == num_vertices + 1`;
 /// * `targets.len() == weights.len() == offsets[num_vertices]`;
 /// * every target is `< num_vertices`.
-///
-/// Besides the split `targets`/`weights` arrays, the graph can carry an
-/// optional *interleaved* `(target, weight)` copy of the arcs (built
-/// on demand by [`CsrGraph::build_interleaved`]), so a neighbour scan
-/// touches one cache stream instead of two — the kernel-v2 edge layout.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     weights: Vec<EdgeWeight>,
-    /// Lazily built interleaved arc array, parallel to `targets`.
-    interleaved: OnceLock<Vec<(VertexId, EdgeWeight)>>,
-}
-
-/// Graph identity is the CSR content; whether the optional interleaved
-/// layout has been materialized is a cache detail.
-impl PartialEq for CsrGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.offsets == other.offsets
-            && self.targets == other.targets
-            && self.weights == other.weights
-    }
 }
 
 impl CsrGraph {
@@ -58,7 +40,6 @@ impl CsrGraph {
             offsets,
             targets,
             weights,
-            interleaved: OnceLock::new(),
         };
         graph.validate().map(|()| graph)
     }
@@ -83,14 +64,13 @@ impl CsrGraph {
             offsets,
             targets,
             weights,
-            interleaved: OnceLock::new(),
         };
         debug_assert!(graph.validate().is_ok(), "from_raw_trusted invariants");
         graph
     }
 
     /// Decomposes the graph into its raw `(offsets, targets, weights)`
-    /// arrays, discarding any interleaved cache. The workspace arena
+    /// arrays. The workspace arena
     /// uses this to recycle a retired super-vertex graph's buffers into
     /// the next aggregation instead of allocating fresh ones.
     pub fn into_raw(self) -> (Vec<u64>, Vec<VertexId>, Vec<EdgeWeight>) {
@@ -103,7 +83,6 @@ impl CsrGraph {
             offsets: vec![0; n + 1],
             targets: Vec::new(),
             weights: Vec::new(),
-            interleaved: OnceLock::new(),
         }
     }
 
@@ -232,81 +211,6 @@ impl CsrGraph {
             .flat_map(move |u| self.edges(u).map(move |(v, w)| (u, v, w)))
     }
 
-    /// Materializes (once) the interleaved `(target, weight)` arc array
-    /// and returns it. Idempotent; later calls return the cached copy.
-    ///
-    /// Doubles the graph's edge memory while active, so callers opt in
-    /// per pass (see `EdgeLayout::Interleaved` in `gve-core`).
-    pub fn build_interleaved(&self) -> &[(VertexId, EdgeWeight)] {
-        self.interleaved.get_or_init(|| {
-            self.targets
-                .iter()
-                .copied()
-                .zip(self.weights.iter().copied())
-                .collect()
-        })
-    }
-
-    /// The interleaved arc array, if [`CsrGraph::build_interleaved`] has
-    /// run.
-    #[inline]
-    pub fn interleaved(&self) -> Option<&[(VertexId, EdgeWeight)]> {
-        self.interleaved.get().map(Vec::as_slice)
-    }
-
-    /// Installs `buf` as the interleaved cache, refilling it from the
-    /// split arrays and reusing its capacity. This is the arena path:
-    /// per-pass supergraphs borrow a pooled buffer instead of letting
-    /// [`CsrGraph::build_interleaved`] allocate a fresh vector, keeping
-    /// the steady-state Leiden loop allocation-free. Replaces any
-    /// previously built cache.
-    pub fn adopt_interleaved(&mut self, mut buf: Vec<(VertexId, EdgeWeight)>) {
-        buf.clear();
-        buf.extend(
-            self.targets
-                .iter()
-                .copied()
-                .zip(self.weights.iter().copied()),
-        );
-        self.interleaved = OnceLock::new();
-        let _ = self.interleaved.set(buf);
-    }
-
-    /// Removes and returns the interleaved cache so its allocation can
-    /// be pooled before the graph is recycled ([`CsrGraph::into_raw`]
-    /// would drop it).
-    pub fn take_interleaved(&mut self) -> Option<Vec<(VertexId, EdgeWeight)>> {
-        self.interleaved.take()
-    }
-
-    /// One vertex's interleaved `(target, weight)` row, or `None` when
-    /// the cache has not been built. The kernel-v3 scan branches on
-    /// this once per vertex instead of paying [`EdgeScan`]'s per-edge
-    /// layout dispatch.
-    #[inline]
-    pub fn interleaved_row(&self, u: VertexId) -> Option<&[(VertexId, EdgeWeight)]> {
-        let pairs = self.interleaved.get()?;
-        let u = u as usize;
-        let lo = self.offsets[u] as usize;
-        let hi = self.offsets[u + 1] as usize;
-        Some(&pairs[lo..hi])
-    }
-
-    /// Layout-aware neighbour scan for hot kernels: iterates the
-    /// interleaved array when it has been built (one cache stream), the
-    /// split `targets`/`weights` arrays otherwise. Yields exactly the
-    /// same `(neighbor, weight)` sequence as [`CsrGraph::edges`].
-    #[inline]
-    pub fn scan_edges(&self, u: VertexId) -> EdgeScan<'_> {
-        let u = u as usize;
-        let lo = self.offsets[u] as usize;
-        let hi = self.offsets[u + 1] as usize;
-        match self.interleaved.get() {
-            Some(pairs) => EdgeScan::Interleaved(pairs[lo..hi].iter()),
-            None => EdgeScan::Split(self.targets[lo..hi].iter().zip(self.weights[lo..hi].iter())),
-        }
-    }
-
     /// Checks structural symmetry: every arc `(u, v, w)` has a matching
     /// reverse arc `(v, u, w)`. O(arcs · log) — intended for tests.
     pub fn is_symmetric(&self) -> bool {
@@ -319,37 +223,6 @@ impl CsrGraph {
         fwd == rev
     }
 }
-
-/// Iterator returned by [`CsrGraph::scan_edges`]: one row of arcs in
-/// whichever physical layout the graph currently carries.
-pub enum EdgeScan<'g> {
-    /// Walking the split `targets`/`weights` arrays (two cache streams).
-    Split(std::iter::Zip<std::slice::Iter<'g, VertexId>, std::slice::Iter<'g, EdgeWeight>>),
-    /// Walking the interleaved `(target, weight)` array (one stream).
-    Interleaved(std::slice::Iter<'g, (VertexId, EdgeWeight)>),
-}
-
-impl Iterator for EdgeScan<'_> {
-    type Item = (VertexId, EdgeWeight);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            EdgeScan::Split(it) => it.next().map(|(&t, &w)| (t, w)),
-            EdgeScan::Interleaved(it) => it.next().copied(),
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            EdgeScan::Split(it) => it.size_hint(),
-            EdgeScan::Interleaved(it) => it.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for EdgeScan<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -431,90 +304,15 @@ mod tests {
             offsets: vec![1, 2],
             targets: vec![0],
             weights: vec![1.0],
-            interleaved: OnceLock::new(),
         };
         assert!(g.validate().unwrap_err().contains("offsets[0]"));
     }
 
     #[test]
-    fn scan_edges_matches_edges_in_both_layouts() {
-        let g = sample();
-        for u in 0..g.num_vertices() as VertexId {
-            let split: Vec<_> = g.scan_edges(u).collect();
-            assert_eq!(split, g.edges(u).collect::<Vec<_>>(), "split, u={u}");
-            assert_eq!(g.scan_edges(u).len(), g.degree(u));
-        }
-        let built = g.build_interleaved();
-        assert_eq!(built.len(), g.num_arcs());
-        assert!(g.interleaved().is_some());
-        for u in 0..g.num_vertices() as VertexId {
-            let inter: Vec<_> = g.scan_edges(u).collect();
-            assert_eq!(inter, g.edges(u).collect::<Vec<_>>(), "interleaved, u={u}");
-        }
-        // Idempotent.
-        assert_eq!(g.build_interleaved().len(), g.num_arcs());
-    }
-
-    #[test]
     fn raw_roundtrip_and_trusted_rebuild() {
         let g = sample();
-        g.build_interleaved();
         let (offsets, targets, weights) = g.into_raw();
         let rebuilt = CsrGraph::from_raw_trusted(offsets, targets, weights);
         assert_eq!(rebuilt, sample());
-        // The interleaved cache does not survive decomposition.
-        assert!(rebuilt.interleaved().is_none());
-    }
-
-    #[test]
-    fn equality_ignores_interleaved_cache() {
-        let a = sample();
-        let b = sample();
-        a.build_interleaved();
-        assert_eq!(a, b);
-        assert!(b.interleaved().is_none());
-        // Cloning carries the built layout along.
-        let c = a.clone();
-        assert!(c.interleaved().is_some());
-    }
-
-    #[test]
-    fn adopt_take_interleaved_recycles_capacity() {
-        let mut g = sample();
-        // Adopting a dirty, over-sized pooled buffer refills it with
-        // this graph's arcs without allocating.
-        let mut pooled = Vec::with_capacity(64);
-        pooled.push((99u32, 9.0f32));
-        let cap_before = pooled.capacity();
-        g.adopt_interleaved(pooled);
-        let built = g.interleaved().expect("cache installed");
-        assert_eq!(built.len(), g.num_arcs());
-        for u in 0..g.num_vertices() as VertexId {
-            assert_eq!(
-                g.interleaved_row(u).unwrap(),
-                g.edges(u).collect::<Vec<_>>().as_slice(),
-                "u={u}"
-            );
-        }
-        // Taking the cache hands the same allocation back.
-        let returned = g.take_interleaved().expect("cache was present");
-        assert_eq!(returned.capacity(), cap_before);
-        assert!(g.interleaved().is_none());
-        assert!(g.take_interleaved().is_none());
-        assert_eq!(g.interleaved_row(0), None);
-    }
-
-    #[test]
-    fn adopt_interleaved_replaces_built_cache() {
-        let mut g = sample();
-        g.build_interleaved();
-        g.adopt_interleaved(Vec::new());
-        let built = g.interleaved().expect("cache installed");
-        assert_eq!(built.len(), g.num_arcs());
-        assert_eq!(
-            built.to_vec(),
-            sample().build_interleaved().to_vec(),
-            "adopted cache must equal the built one"
-        );
     }
 }

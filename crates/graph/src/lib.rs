@@ -34,7 +34,7 @@ pub mod traversal;
 
 pub use adjacency::AdjacencyList;
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, EdgeScan};
+pub use csr::CsrGraph;
 pub use holey::{AggregateScratch, GroupedCsr, HoleyCsrBuilder};
 pub use reorder::{Relabeling, VertexOrdering};
 

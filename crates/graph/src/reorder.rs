@@ -1,4 +1,5 @@
-//! Cache-aware vertex relabeling (kernel-v2 preprocessing).
+//! Cache-aware vertex relabeling (an optional preprocessing step before
+//! detection).
 //!
 //! The Leiden inner loops walk `membership[v]` and `sigma[c]` for every
 //! neighbour `v` of every vertex, so the memory-access pattern is the

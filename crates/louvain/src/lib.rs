@@ -178,8 +178,7 @@ impl Louvain {
                 k,
                 (config.chunk_size / 4).max(1),
                 &tables,
-                (config.kernel == gve_leiden::KernelVersion::V2)
-                    .then_some(config.small_degree_threshold),
+                config.aggregation_small_threshold(),
             );
             let aggregation_time = t3.elapsed();
             timings.aggregation += aggregation_time;

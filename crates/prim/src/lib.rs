@@ -11,8 +11,8 @@
 //!   giving O(1) insert/lookup and O(touched) clear;
 //! * [`atomics`] — an atomic `f64` add/CAS built on `AtomicU64` bit games,
 //!   used for the asynchronously updated community weights `Σ'`;
-//! * [`smallmap`] — a fixed-capacity, stack-resident linear map: the
-//!   low-degree tier of the kernel-v2 two-tier neighbourhood scan;
+//! * [`smallmap`] — fixed-capacity, stack-resident scan maps: the
+//!   low-degree tiers of aggregation (linear) and kernel v3 (hashed);
 //! * [`bitset`] — an atomic bitset used for flag-based vertex pruning;
 //! * [`rng`] — the xorshift32 generator the paper uses for randomized
 //!   refinement;

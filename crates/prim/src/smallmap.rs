@@ -1,46 +1,46 @@
-//! Fixed-capacity stack-resident scan map — the low-degree tier of the
-//! two-tier "kernel v2" neighbourhood scan.
+//! Fixed-capacity stack-resident scan maps: the low-degree tiers of the
+//! two-tier neighbourhood scans.
 //!
 //! The collision-free [`CommunityMap`](crate::CommunityMap) buys O(1)
 //! insert at the price of an O(N)-slot backing array per thread: every
 //! scan of a degree-`d` vertex touches up to `d` cache lines scattered
 //! across that array. For the overwhelming majority of vertices in
-//! power-law graphs `d` is tiny, and a *linear* map over at most
-//! [`SMALL_SCAN_CAP`] entries that lives entirely on the worker's stack
-//! beats the big table: every probe walks the same handful of cache
-//! lines, nothing is heap-resident, and clearing is a single length
-//! reset. Hubs (degree > threshold) keep using the big table.
+//! power-law graphs `d` is tiny, and a map over at most a few dozen
+//! entries that lives entirely on the worker's stack beats the big
+//! table: every probe walks the same handful of cache lines, nothing is
+//! heap-resident, and clearing is cheap. Hubs (degree > threshold) keep
+//! using the big table.
 //!
-//! Each entry carries an auxiliary `f64` slot (`aux`) so the fused
-//! scan-and-choose kernel can cache the community's `Σ'` value loaded on
-//! first touch — the "single sigma load per candidate" part of the
-//! kernel-v2 design.
+//! * [`SmallScanMap`] — a linear map, the aggregation phase's tier
+//!   (communities whose total degree fits the threshold).
+//! * [`HashScanMap`] — an open-addressed map with a prefetched aux
+//!   column, kernel v3's tier for local-moving and refinement.
 
 /// Capacity of [`SmallScanMap`]: the maximum number of *distinct* keys a
 /// single scan may touch. A vertex of degree ≤ `SMALL_SCAN_CAP` can
 /// never overflow the map, so degree is the dispatch criterion.
 ///
-/// 64 entries × (4 + 8 + 8) bytes ≈ 1.3 KiB — comfortably stack-sized,
-/// about 20 cache lines.
+/// 64 entries × (4 + 8) bytes = 768 bytes — comfortably stack-sized,
+/// twelve cache lines.
 pub const SMALL_SCAN_CAP: usize = 64;
 
 /// Fixed-capacity linear-probe accumulator map from `u32` keys to
-/// weights, with one cached auxiliary value per key.
+/// weights.
 ///
 /// Lookup is a linear scan over the live prefix; insertion appends.
 /// Intended for key sets bounded by [`SMALL_SCAN_CAP`] (enforced with a
-/// debug assertion — callers dispatch on vertex degree).
+/// debug assertion — callers dispatch on degree).
 #[derive(Debug, Clone)]
 pub struct SmallScanMap {
     len: usize,
     /// Slot of the most recent hit — checked first on the next lookup.
-    /// Neighbour lists cluster by community (especially after cache-aware
-    /// relabeling and in later passes), so consecutive edges usually land
-    /// on the same key and skip the linear search entirely.
+    /// Neighbour lists cluster by community (most arcs of a community's
+    /// members stay inside it, and more so in later passes), so
+    /// consecutive edges usually land on the same key and skip the
+    /// linear search entirely.
     last: usize,
     keys: [u32; SMALL_SCAN_CAP],
     weights: [f64; SMALL_SCAN_CAP],
-    aux: [f64; SMALL_SCAN_CAP],
 }
 
 impl Default for SmallScanMap {
@@ -57,7 +57,6 @@ impl SmallScanMap {
             last: 0,
             keys: [0; SMALL_SCAN_CAP],
             weights: [0.0; SMALL_SCAN_CAP],
-            aux: [0.0; SMALL_SCAN_CAP],
         }
     }
 
@@ -80,23 +79,21 @@ impl SmallScanMap {
         self.last = 0;
     }
 
-    /// Adds `weight` to `key`'s accumulator, returning the key's slot
-    /// index and whether this was the key's first touch (in which case
-    /// the slot's aux value is reset to 0).
+    /// Adds `weight` to `key`'s accumulator.
     ///
     /// # Panics
     /// Debug-asserts that a fresh key still fits ([`SMALL_SCAN_CAP`]).
     #[inline]
-    pub fn add(&mut self, key: u32, weight: f64) -> (usize, bool) {
+    pub fn add(&mut self, key: u32, weight: f64) {
         if self.last < self.len && self.keys[self.last] == key {
             self.weights[self.last] += weight;
-            return (self.last, false);
+            return;
         }
         for slot in 0..self.len {
             if self.keys[slot] == key {
                 self.weights[slot] += weight;
                 self.last = slot;
-                return (slot, false);
+                return;
             }
         }
         let slot = self.len;
@@ -106,32 +103,8 @@ impl SmallScanMap {
         );
         self.keys[slot] = key;
         self.weights[slot] = weight;
-        self.aux[slot] = 0.0;
         self.len = slot + 1;
         self.last = slot;
-        (slot, true)
-    }
-
-    /// Accumulated weight at `slot`.
-    #[inline]
-    pub fn weight_at(&self, slot: usize) -> f64 {
-        debug_assert!(slot < self.len);
-        self.weights[slot]
-    }
-
-    /// Auxiliary value at `slot` (0 until [`SmallScanMap::set_aux`]).
-    #[inline]
-    pub fn aux_at(&self, slot: usize) -> f64 {
-        debug_assert!(slot < self.len);
-        self.aux[slot]
-    }
-
-    /// Stores an auxiliary value for `slot` (the fused kernel caches the
-    /// community's Σ' here on first touch).
-    #[inline]
-    pub fn set_aux(&mut self, slot: usize, value: f64) {
-        debug_assert!(slot < self.len);
-        self.aux[slot] = value;
     }
 
     /// Accumulated weight for `key`, or `None` if untouched.
@@ -140,24 +113,6 @@ impl SmallScanMap {
         (0..self.len)
             .find(|&slot| self.keys[slot] == key)
             .map(|slot| self.weights[slot])
-    }
-
-    /// Accumulated weight for `key`, `0.0` if untouched.
-    #[inline]
-    pub fn weight(&self, key: u32) -> f64 {
-        self.get(key).unwrap_or(0.0)
-    }
-
-    /// Live keys in insertion order.
-    #[inline]
-    pub fn keys(&self) -> &[u32] {
-        &self.keys[..self.len]
-    }
-
-    /// Live accumulated weights, parallel to [`SmallScanMap::keys`].
-    #[inline]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights[..self.len]
     }
 
     /// Iterates over live `(key, weight)` pairs in insertion order —
@@ -177,35 +132,13 @@ mod tests {
     fn add_accumulates_like_community_map() {
         let mut m = SmallScanMap::new();
         assert!(m.is_empty());
-        let (s3, first) = m.add(3, 1.0);
-        assert!(first);
-        let (s3b, again) = m.add(3, 2.5);
-        assert!(!again);
-        assert_eq!(s3, s3b);
+        m.add(3, 1.0);
+        m.add(3, 2.5);
         m.add(5, 4.0);
         assert_eq!(m.get(3), Some(3.5));
         assert_eq!(m.get(5), Some(4.0));
         assert_eq!(m.get(4), None);
-        assert_eq!(m.weight(4), 0.0);
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn aux_is_per_slot_and_reset_on_first_touch() {
-        let mut m = SmallScanMap::new();
-        let (slot, _) = m.add(7, 1.0);
-        assert_eq!(m.aux_at(slot), 0.0);
-        m.set_aux(slot, 9.5);
-        let (slot2, first) = m.add(7, 1.0);
-        assert_eq!((slot, false), (slot2, first));
-        assert_eq!(m.aux_at(slot), 9.5, "aux survives re-adds");
-        m.clear();
-        let (slot3, _) = m.add(8, 1.0);
-        assert_eq!(
-            m.aux_at(slot3),
-            0.0,
-            "aux resets across clear via first touch"
-        );
     }
 
     #[test]
@@ -215,8 +148,9 @@ mod tests {
         m.add(0, 2.0);
         m.add(9, 1.0);
         m.add(4, 3.0);
+        m.add(4, 1.0); // a repeat right after the first touch hits the memo
         let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs, vec![(9, 2.0), (0, 2.0), (4, 3.0)]);
+        assert_eq!(pairs, vec![(9, 2.0), (0, 2.0), (4, 4.0)]);
     }
 
     #[test]
@@ -272,10 +206,10 @@ pub const HASH_SLOTS: usize = 2 * HASH_SCAN_CAP;
 /// [`SmallScanMap`]'s linear probe costs O(live) compares per edge,
 /// which is quadratic over a row whose neighbours all sit in distinct
 /// communities (exactly the first local-moving iteration, where every
-/// membership is a singleton). This map keeps the same three dense,
-/// insertion-ordered arrays (`keys`/`weights`/`aux` — the choose pass
-/// folds straight over them as parallel slices) but finds a key's slot
-/// through a half-loaded 128-slot open-addressed index in O(1) probes,
+/// membership is a singleton). This map keeps dense, insertion-ordered
+/// `keys`/`weights`/`aux` arrays (the choose pass folds straight over
+/// them as parallel slices) but finds a key's slot through a
+/// half-loaded 128-slot open-addressed index in O(1) probes,
 /// like the big [`CommunityMap`](crate::CommunityMap) table — without
 /// that table's O(N) heap arrays, scattered clears, or choose-time
 /// gathers.

@@ -14,8 +14,8 @@ use crate::json::Json;
 use crate::pool::WorkspacePool;
 use crate::registry::GraphRegistry;
 use gve_leiden::{
-    ChunkScheduling, CoreMetrics, EdgeLayout, KernelVersion, Leiden, LeidenConfig, Objective,
-    RunObserver, Scheduling, VertexOrdering,
+    ChunkScheduling, CoreMetrics, KernelVersion, Leiden, LeidenConfig, Objective, RunObserver,
+    Scheduling, VertexOrdering,
 };
 use gve_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use gve_prim::alloc_count;
@@ -39,13 +39,12 @@ pub struct DetectRequest {
     pub max_passes: usize,
     /// Dynamic-scheduling chunk size.
     pub chunk_size: usize,
-    /// Scan kernel: two-pass `v1` or fused degree-aware `v2`. Part of
-    /// the cache fingerprint so v1 and v2 partitions never alias.
+    /// Scan kernel: the production `v3` (default) or the two-pass `v1`
+    /// reference. Part of the cache fingerprint so v1 and v3 partitions
+    /// never alias.
     pub kernel: KernelVersion,
     /// Cache-aware vertex relabeling applied before detection.
     pub ordering: VertexOrdering,
-    /// CSR edge layout (`split` arrays or `interleaved` pairs).
-    pub layout: EdgeLayout,
     /// Phase scheduling: fast `async` (default) or reproducible
     /// `color-sync`.
     pub scheduling: Scheduling,
@@ -65,7 +64,6 @@ impl Default for DetectRequest {
             chunk_size: defaults.chunk_size,
             kernel: defaults.kernel,
             ordering: defaults.ordering,
-            layout: defaults.layout,
             scheduling: defaults.scheduling,
             chunking: defaults.chunking,
         }
@@ -101,9 +99,6 @@ impl DetectRequest {
         if let Some(ordering) = body.get("ordering").and_then(Json::as_str) {
             request.ordering = VertexOrdering::parse(ordering)?;
         }
-        if let Some(layout) = body.get("layout").and_then(Json::as_str) {
-            request.layout = EdgeLayout::parse(layout)?;
-        }
         if let Some(scheduling) = body.get("scheduling").and_then(Json::as_str) {
             request.scheduling = Scheduling::parse(scheduling)?;
         }
@@ -131,7 +126,6 @@ impl DetectRequest {
             .chunk_size(self.chunk_size)
             .kernel(self.kernel)
             .ordering(self.ordering)
-            .layout(self.layout)
             .scheduling(self.scheduling)
             .chunking(self.chunking);
         config.max_passes = self.max_passes;
@@ -143,7 +137,7 @@ impl DetectRequest {
     /// textual form, so semantically equal requests collide on purpose).
     pub fn fingerprint(&self) -> u64 {
         let canonical = format!(
-            "objective={};resolution={};seed={};max_passes={};chunk_size={};kernel={};ordering={};layout={};scheduling={};chunking={}",
+            "objective={};resolution={};seed={};max_passes={};chunk_size={};kernel={};ordering={};scheduling={};chunking={}",
             self.objective,
             self.resolution,
             self.seed,
@@ -151,7 +145,6 @@ impl DetectRequest {
             self.chunk_size,
             self.kernel.label(),
             self.ordering.label(),
-            self.layout.label(),
             self.scheduling.label(),
             self.chunking.label(),
         );
@@ -173,7 +166,6 @@ impl DetectRequest {
             ("chunk_size", Json::from(self.chunk_size)),
             ("kernel", Json::from(self.kernel.label())),
             ("ordering", Json::from(self.ordering.label())),
-            ("layout", Json::from(self.layout.label())),
             ("scheduling", Json::from(self.scheduling.label())),
             ("chunking", Json::from(self.chunking.label())),
         ])
@@ -1013,19 +1005,19 @@ mod tests {
         assert!(DetectRequest::from_json(&bad).is_err());
     }
 
-    /// Kernel/ordering/layout/chunk-size are part of the fingerprint, so
-    /// the partition cache never serves a v1 result for a v2 request (or
-    /// vice versa), and bad tokens are rejected at parse time.
+    /// Kernel/ordering/chunk-size are part of the fingerprint, so the
+    /// partition cache never serves a v1 result for a v3 request (or
+    /// vice versa), and bad tokens — the retired `v2` kernel included —
+    /// are rejected at parse time.
     #[test]
     fn kernel_knobs_fingerprint_and_validate() {
         let body = crate::json::parse(
-            r#"{"kernel":"v3","ordering":"degree","layout":"interleaved","chunk_size":512,"scheduling":"color-sync","chunking":"guided"}"#,
+            r#"{"kernel":"v1","ordering":"degree","chunk_size":512,"scheduling":"color-sync","chunking":"guided"}"#,
         )
         .unwrap();
         let request = DetectRequest::from_json(&body).unwrap();
-        assert_eq!(request.kernel, KernelVersion::V3);
+        assert_eq!(request.kernel, KernelVersion::V1);
         assert_eq!(request.ordering, VertexOrdering::DegreeDesc);
-        assert_eq!(request.layout, EdgeLayout::Interleaved);
         assert_eq!(request.chunk_size, 512);
         assert_eq!(request.scheduling, Scheduling::ColorSynchronous);
         assert_eq!(request.chunking, ChunkScheduling::Guided);
@@ -1038,10 +1030,6 @@ mod tests {
             },
             DetectRequest {
                 ordering: VertexOrdering::Bfs,
-                ..defaults.clone()
-            },
-            DetectRequest {
-                layout: EdgeLayout::Interleaved,
                 ..defaults.clone()
             },
             DetectRequest {
@@ -1062,8 +1050,8 @@ mod tests {
 
         for bad in [
             r#"{"kernel":"v9"}"#,
+            r#"{"kernel":"v2"}"#,
             r#"{"ordering":"random"}"#,
-            r#"{"layout":"columnar"}"#,
             r#"{"chunk_size":0}"#,
             r#"{"scheduling":"chaotic"}"#,
             r#"{"chunking":"chaotic"}"#,

@@ -44,7 +44,13 @@
 //! WAL: batch records at epochs the snapshot already covers are
 //! skipped, a truncated or corrupt tail is tolerated (dropped and
 //! counted in `gve_wal_tail_records_dropped_total`), and partition
-//! records matching the final epoch re-seed the partition cache.
+//! records matching the final epoch re-seed the partition cache. A
+//! partition record whose request no longer decodes, or whose
+//! fingerprint no longer matches its request (both happen when a
+//! detect option is retired or the fingerprint's canonical form
+//! changes), is skipped and counted in
+//! `gve_wal_partitions_skipped_total`: it is derived data, so replay
+//! goes on to the batches behind it.
 
 use crate::cache::{CachedPartition, PartitionKey, PartitionOrigin};
 use crate::jobs::DetectRequest;
@@ -116,6 +122,9 @@ pub struct WalStats {
     pub recovered_records: Counter,
     /// Truncated or corrupt tail records dropped by recovery.
     pub tail_records_dropped: Counter,
+    /// Partition records skipped by recovery because their request no
+    /// longer decodes or no longer matches their fingerprint.
+    pub partitions_skipped: Counter,
 }
 
 impl WalStats {
@@ -156,6 +165,12 @@ impl WalStats {
             "Truncated or corrupt WAL tail records dropped at startup.",
             &[],
             &self.tail_records_dropped,
+        );
+        registry.register_counter(
+            "gve_wal_partitions_skipped_total",
+            "Partition records skipped at startup: request no longer decodes or fingerprint changed.",
+            &[],
+            &self.partitions_skipped,
         );
     }
 }
@@ -341,23 +356,7 @@ impl DurabilityStore {
         let handle = self.wal_handle(&key.graph)?;
         let mut wal = self.lock_wal(&handle);
         let request_json = partition.request.to_json().render();
-        let mut payload =
-            Vec::with_capacity(64 + request_json.len() + 4 * partition.membership.len());
-        payload.push(KIND_PARTITION);
-        payload.extend_from_slice(&key.epoch.to_le_bytes());
-        payload.extend_from_slice(&key.fingerprint.to_le_bytes());
-        payload.push(match partition.origin {
-            PartitionOrigin::Detection => 0,
-            PartitionOrigin::IncrementalRefresh => 1,
-        });
-        payload.extend_from_slice(&(partition.num_communities as u64).to_le_bytes());
-        payload.extend_from_slice(&partition.modularity.to_le_bytes());
-        payload.extend_from_slice(&partition.seconds.to_le_bytes());
-        put_bytes(&mut payload, request_json.as_bytes());
-        payload.extend_from_slice(&(partition.membership.len() as u64).to_le_bytes());
-        for &community in partition.membership.iter() {
-            payload.extend_from_slice(&community.to_le_bytes());
-        }
+        let payload = partition_payload(key.epoch, key.fingerprint, partition, &request_json);
         self.append(&mut wal, &payload)
     }
 
@@ -504,6 +503,12 @@ impl DurabilityStore {
                 }) => {
                     partitions.insert(fingerprint, (partition_epoch, partition));
                 }
+                Some(Record::StalePartition) => {
+                    // Derived data this version cannot key: skip it and
+                    // keep replaying the batches behind it.
+                    self.stats.partitions_skipped.inc();
+                    continue;
+                }
                 None => {
                     // Checksummed but unparseable: a kind from a future
                     // version, or corruption the checksum missed. Stop
@@ -591,6 +596,33 @@ fn read_record(raw: &[u8], cursor: usize) -> Option<(&[u8], usize)> {
     Some((payload, start + len as usize))
 }
 
+/// The KIND_PARTITION payload: epoch, fingerprint, origin, summary,
+/// the request as JSON, then the membership.
+fn partition_payload(
+    epoch: u64,
+    fingerprint: u64,
+    partition: &CachedPartition,
+    request_json: &str,
+) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(64 + request_json.len() + 4 * partition.membership.len());
+    payload.push(KIND_PARTITION);
+    payload.extend_from_slice(&epoch.to_le_bytes());
+    payload.extend_from_slice(&fingerprint.to_le_bytes());
+    payload.push(match partition.origin {
+        PartitionOrigin::Detection => 0,
+        PartitionOrigin::IncrementalRefresh => 1,
+    });
+    payload.extend_from_slice(&(partition.num_communities as u64).to_le_bytes());
+    payload.extend_from_slice(&partition.modularity.to_le_bytes());
+    payload.extend_from_slice(&partition.seconds.to_le_bytes());
+    put_bytes(&mut payload, request_json.as_bytes());
+    payload.extend_from_slice(&(partition.membership.len() as u64).to_le_bytes());
+    for &community in partition.membership.iter() {
+        payload.extend_from_slice(&community.to_le_bytes());
+    }
+    payload
+}
+
 /// A parsed WAL payload.
 enum Record {
     Register,
@@ -603,6 +635,10 @@ enum Record {
         fingerprint: u64,
         partition: CachedPartition,
     },
+    /// A well-framed partition record whose request no longer decodes
+    /// or no longer matches its fingerprint (written by a version with
+    /// other detect options or another canonical fingerprint form).
+    StalePartition,
     EpochBump(u64),
 }
 
@@ -639,13 +675,16 @@ fn parse_record(payload: &[u8]) -> Option<Record> {
             let modularity = f64::from_le_bytes(cursor.array()?);
             let seconds = f64::from_le_bytes(cursor.array()?);
             let request_json = String::from_utf8(cursor.bytes()?.to_vec()).ok()?;
-            let request = crate::json::parse(&request_json)
+            let Some(request) = crate::json::parse(&request_json)
                 .ok()
-                .and_then(|body| DetectRequest::from_json(&body).ok())?;
+                .and_then(|body| DetectRequest::from_json(&body).ok())
+            else {
+                return Some(Record::StalePartition);
+            };
             // The fingerprint is derived from the request; a mismatch
-            // means the record is inconsistent — drop it.
+            // means another version keyed this record.
             if request.fingerprint() != fingerprint {
-                return None;
+                return Some(Record::StalePartition);
             }
             let n = cursor.u64()? as usize;
             let mut membership: Vec<VertexId> = Vec::with_capacity(n.min(1 << 24));
@@ -824,6 +863,51 @@ mod tests {
         let again = reopen(&store).recover().unwrap();
         assert_eq!(again[0].epoch, 3);
         assert_eq!(again[0].tail_dropped, 0);
+    }
+
+    /// Partition records written before a detect option was retired are
+    /// derived data: one whose request no longer decodes (`"kernel":"v2"`)
+    /// and one whose stored fingerprint is the old canonical form (with
+    /// `layout=`) are both skipped, and the acked batch logged after them
+    /// still replays — on every boot, with nothing dropped or truncated.
+    #[test]
+    fn stale_partition_records_are_skipped_not_a_stop_point() {
+        let store = temp_store("stale-partition");
+        let graph = path_graph();
+        store.register_graph("g", &graph, "inline").unwrap();
+        let old_canonical = "objective=modularity;resolution=1;seed=0;max_passes=10;chunk_size=2048;kernel=v2;ordering=original;layout=split;scheduling=async;chunking=static";
+        let stale = [
+            r#"{"objective":"modularity","kernel":"v2","layout":"split"}"#,
+            r#"{"objective":"modularity","kernel":"v3","layout":"split"}"#,
+        ];
+        {
+            let handle = store.wal_handle("g").unwrap();
+            let mut wal = store.lock_wal(&handle);
+            for request_json in stale {
+                let payload = partition_payload(
+                    0,
+                    fnv1a(old_canonical.as_bytes()),
+                    &sample_partition(graph.num_vertices()),
+                    request_json,
+                );
+                store.append(&mut wal, &payload).unwrap();
+            }
+        }
+        let mut batch = BatchUpdate::new();
+        batch.insert(0, 3, 2.0);
+        let updated = apply_batch(&graph, &batch);
+        store.append_batch("g", 1, &batch, &updated).unwrap();
+
+        for boot in 0..2 {
+            let reopened = reopen(&store);
+            let recovered = reopened.recover().unwrap();
+            assert_eq!(recovered[0].epoch, 1, "boot {boot}: the batch replays");
+            assert_eq!(recovered[0].graph, updated, "boot {boot}");
+            assert_eq!(recovered[0].tail_dropped, 0, "boot {boot}");
+            assert!(recovered[0].partitions.is_empty(), "boot {boot}");
+            assert_eq!(reopened.stats.partitions_skipped.get(), 2, "boot {boot}");
+            assert_eq!(reopened.stats.tail_records_dropped.get(), 0, "boot {boot}");
+        }
     }
 
     /// Bit corruption in the middle of the newest record fails its

@@ -28,8 +28,8 @@ fn usage() -> ! {
          [--degree <f>] [--seed <n>] --out <path>\n  \
          gve detect <graph> [--algorithm <leiden|louvain|seq-leiden|seq-louvain|nk-leiden>] \
          [--objective <modularity|cpm>] [--resolution <f>] [--threads <n>] \
-         [--chunk-size <n>] [--kernel <v1|v2|v3>] [--ordering <original|degree|bfs>] \
-         [--layout <split|interleaved>] [--scheduling <static|guided|stealing>] \
+         [--chunk-size <n>] [--kernel <v1|v3>] [--ordering <original|degree|bfs>] \
+         [--chunking <static|guided|stealing>] \
          [--trace <path>] [--repeat <n>] [--out <path>]\n  \
          gve quality <graph> <membership> [--detail <n>]\n  \
          gve stats <graph>\n  \
@@ -227,16 +227,7 @@ fn cmd_detect(args: &[String]) {
             }
         }
     }
-    if let Some(token) = flag_value(args, "--layout") {
-        match gve::leiden::EdgeLayout::parse(token) {
-            Ok(layout) => leiden_config = leiden_config.layout(layout),
-            Err(e) => {
-                eprintln!("error: {e}");
-                exit(2);
-            }
-        }
-    }
-    if let Some(token) = flag_value(args, "--scheduling") {
+    if let Some(token) = flag_value(args, "--chunking") {
         match gve::leiden::ChunkScheduling::parse(token) {
             Ok(chunking) => leiden_config = leiden_config.chunking(chunking),
             Err(e) => {

@@ -281,3 +281,55 @@ fn bad_usage_exits_nonzero() {
         .unwrap()
         .success());
 }
+
+#[test]
+fn detect_rejects_the_retired_v2_kernel() {
+    let dir = temp_dir();
+    let graph = dir.join("kernel.mtx");
+    let out = gve()
+        .args([
+            "generate",
+            "--class",
+            "er",
+            "--vertices",
+            "300",
+            "--degree",
+            "6",
+            "--out",
+            graph.to_str().unwrap(),
+        ])
+        .output()
+        .expect("generate failed to spawn");
+    assert!(out.status.success());
+
+    let out = gve()
+        .args(["detect", graph.to_str().unwrap(), "--kernel", "v2"])
+        .output()
+        .expect("detect failed to spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        log.contains("unknown kernel 'v2' (expected v1|v3)"),
+        "{log}"
+    );
+
+    // Both remaining kernels and the chunk policy flag still parse.
+    for kernel in ["v1", "v3"] {
+        let out = gve()
+            .args([
+                "detect",
+                graph.to_str().unwrap(),
+                "--kernel",
+                kernel,
+                "--chunking",
+                "guided",
+            ])
+            .output()
+            .expect("detect failed to spawn");
+        assert!(
+            out.status.success(),
+            "{kernel}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
